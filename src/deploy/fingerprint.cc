@@ -86,6 +86,16 @@ std::optional<double> get_number(const JsonValue& v, std::string_view key) {
   return m->number;
 }
 
+// Integer member `key`: `fallback` when absent or not a number, otherwise
+// the number if it is an integer in T's range, and nullopt if it is not.
+template <typename T>
+std::optional<T> get_integer(const JsonValue& v, std::string_view key,
+                             std::optional<T> fallback = std::nullopt) {
+  const JsonValue* m = v.find(key);
+  if (!m || !m->is_number()) return fallback;
+  return m->as_integer<T>();
+}
+
 bool get_bool(const JsonValue& v, std::string_view key) {
   const JsonValue* m = v.find(key);
   return m && m->is_bool() && m->boolean;
@@ -259,9 +269,7 @@ std::optional<ClassifierFingerprintCache> ClassifierFingerprintCache::from_json(
   // Schema gate: v1 files predate ambiguity digests and must invalidate
   // cleanly (a cold start), as must files probed with a different digest
   // format revision.
-  const JsonValue* version = doc->find("version");
-  if (!version || !version->is_number() ||
-      static_cast<int>(version->number) != kSchemaVersion) {
+  if (get_integer<int>(*doc, "version") != kSchemaVersion) {
     return std::nullopt;
   }
   auto digest_format = get_string(*doc, "digest_format");
@@ -288,26 +296,30 @@ std::optional<ClassifierFingerprintCache> ClassifierFingerprintCache::from_json(
     entry.position_sensitive = get_bool(e, "position_sensitive");
     entry.inspects_all_packets = get_bool(e, "inspects_all_packets");
     entry.port_sensitive = get_bool(e, "port_sensitive");
-    if (auto pl = get_number(e, "packet_limit")) {
-      entry.packet_limit = static_cast<std::size_t>(*pl);
+    // Unset optionals are written as null; a number must be in range.
+    if (const JsonValue* pl = e.find("packet_limit"); pl && pl->is_number()) {
+      entry.packet_limit = pl->as_integer<std::size_t>();
+      if (!entry.packet_limit) return std::nullopt;
     }
-    if (auto hops = get_number(e, "middlebox_hops")) {
-      entry.middlebox_hops = static_cast<int>(*hops);
+    if (const JsonValue* hops = e.find("middlebox_hops");
+        hops && hops->is_number()) {
+      entry.middlebox_hops = hops->as_integer<int>();
+      if (!entry.middlebox_hops) return std::nullopt;
     }
     const JsonValue* fields = e.find("fields");
     if (!fields || !fields->is_array()) return std::nullopt;
     for (const JsonValue& fv : fields->array) {
       core::MatchingField field;
-      auto msg = get_number(fv, "message");
-      auto off = get_number(fv, "offset");
-      auto len = get_number(fv, "length");
+      auto msg = get_integer<std::size_t>(fv, "message");
+      auto off = get_integer<std::size_t>(fv, "offset");
+      auto len = get_integer<std::size_t>(fv, "length");
       auto hex = get_string(fv, "content_hex");
       if (!msg || !off || !len || !hex) return std::nullopt;
       auto content = from_hex(*hex);
       if (!content) return std::nullopt;
-      field.message_index = static_cast<std::size_t>(*msg);
-      field.offset = static_cast<std::size_t>(*off);
-      field.length = static_cast<std::size_t>(*len);
+      field.message_index = *msg;
+      field.offset = *off;
+      field.length = *len;
       field.content = std::move(*content);
       entry.fields.push_back(std::move(field));
     }
@@ -316,12 +328,12 @@ std::optional<ClassifierFingerprintCache> ClassifierFingerprintCache::from_json(
     for (const JsonValue& rv : ranking->array) {
       RankedTechnique r;
       auto name = get_string(rv, "technique");
-      if (!name) return std::nullopt;
+      auto extra_packets = get_integer<std::size_t>(rv, "extra_packets", 0);
+      auto extra_bytes = get_integer<std::size_t>(rv, "extra_bytes", 0);
+      if (!name || !extra_packets || !extra_bytes) return std::nullopt;
       r.name = *name;
-      r.extra_packets =
-          static_cast<std::size_t>(get_number(rv, "extra_packets").value_or(0));
-      r.extra_bytes =
-          static_cast<std::size_t>(get_number(rv, "extra_bytes").value_or(0));
+      r.extra_packets = *extra_packets;
+      r.extra_bytes = *extra_bytes;
       r.extra_seconds = get_number(rv, "extra_seconds").value_or(0);
       entry.ranking.push_back(std::move(r));
     }

@@ -81,12 +81,11 @@ std::optional<AmbiguityDigest> AmbiguityDigest::from_json_value(
   const JsonValue* version = doc.find("version");
   const JsonValue* format = doc.find("format");
   const JsonValue* dims = doc.find("dims");
-  if (!version || !version->is_number() || !format || !format->is_string() ||
-      !dims || !dims->is_array()) {
+  if (!version || !format || !format->is_string() || !dims ||
+      !dims->is_array()) {
     return std::nullopt;
   }
-  if (static_cast<int>(version->number) != kVersion ||
-      format->string != kFormat) {
+  if (version->as_integer<int>() != kVersion || format->string != kFormat) {
     return std::nullopt;
   }
   AmbiguityDigest out;
@@ -95,14 +94,16 @@ std::optional<AmbiguityDigest> AmbiguityDigest::from_json_value(
     const JsonValue* name = dv.find("dimension");
     const JsonValue* bits = dv.find("bits");
     const JsonValue* variants = dv.find("variants");
-    if (!name || !name->is_string() || !bits || !bits->is_number() ||
-        !variants || !variants->is_number()) {
+    if (!name || !name->is_string() || !bits || !variants) {
       return std::nullopt;
     }
+    auto bits_value = bits->as_integer<std::uint32_t>();
+    auto variant_count = variants->as_integer<std::uint32_t>();
+    if (!bits_value || !variant_count) return std::nullopt;
     DimensionResult r;
     r.dimension = name->string;
-    r.bits = static_cast<std::uint32_t>(bits->number);
-    r.variant_count = static_cast<std::uint32_t>(variants->number);
+    r.bits = *bits_value;
+    r.variant_count = *variant_count;
     out.add(std::move(r));
   }
   return out;

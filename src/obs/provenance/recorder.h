@@ -15,6 +15,13 @@
 //               (rules tried, match offsets, verdicts), bounded like
 //               EventLog's ring with exact drop counters.
 //
+// Every worker records every datagram it builds or inspects, so the stores
+// are striped by key, each stripe behind its own mutex: nodes and the edges
+// into them by packet id, ledgers by canonical flow key (all scopes of a
+// flow share a stripe). Eviction order is still one process-wide FIFO per
+// table, kept in a ring of insertion order, so the caps (65 536 nodes,
+// 1 024 flows, 512 records per ledger) evict what a single FIFO would.
+//
 // The *scope* disambiguates parallel replay: every isolated round replays
 // the same 10.0.0.1 flow tuple, so a thread-local scope id — set by the
 // round scheduler to the content-defined round fingerprint — keeps
@@ -27,6 +34,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -140,11 +149,13 @@ inline FlowKey flow_key_of(BytesView datagram) {
   return flow_key(src, sport, dst, dport, proto);
 }
 
-/// Content-derived packet lineage id.
+/// Content-derived packet lineage id. Never 0, which stands for "no
+/// packet" in ProvRecord::pkt and for an empty eviction-ring slot.
 inline std::uint64_t packet_id(BytesView datagram) {
   Digest d;
   d.update(datagram);
-  return d.finish().lo;
+  std::uint64_t id = d.finish().lo;
+  return id != 0 ? id : 1;
 }
 
 inline std::string id_hex(std::uint64_t id) {
@@ -212,9 +223,7 @@ class ProvenanceRecorder {
   /// Idempotently register a packet node. Returns the lineage id.
   std::uint64_t packet(BytesView datagram, std::string_view kind) {
     std::uint64_t id = packet_id(datagram);
-    std::lock_guard<std::mutex> lock(mutex_);
-    register_node_locked(id, static_cast<std::uint32_t>(datagram.size()),
-                         kind);
+    register_node(id, static_cast<std::uint32_t>(datagram.size()), kind);
     return id;
   }
 
@@ -233,42 +242,51 @@ class ProvenanceRecorder {
                 std::uint32_t child_size, std::string_view kind,
                 std::string_view actor, std::string_view detail = {}) {
     if (parent == child) return;  // pass-through, not a hop
-    std::lock_guard<std::mutex> lock(mutex_);
-    register_node_locked(parent, parent_size, "wire");
-    register_node_locked(child, child_size, "wire");
-    auto& hops = edges_[child];
-    for (const EdgeInfo& e : hops) {
-      if (e.parent == parent && e.kind == kind && e.actor == actor) return;
+    register_node(parent, parent_size, "wire");
+    NodeStripe& s = stripe_of(node_stripes_, child);
+    std::uint64_t victim = 0;
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      victim = register_node_locked(s, child, child_size, "wire");
+      auto& hops = s.edges[child];
+      bool dup = std::any_of(hops.begin(), hops.end(), [&](const EdgeInfo& e) {
+        return e.parent == parent && e.kind == kind && e.actor == actor;
+      });
+      if (!dup && hops.size() < kMaxEdgesPerChild) {
+        hops.push_back(EdgeInfo{child, parent, ts_us, std::string(kind),
+                                std::string(actor), std::string(detail)});
+      }
     }
-    if (hops.size() >= kMaxEdgesPerChild) return;
-    EdgeInfo e;
-    e.child = child;
-    e.parent = parent;
-    e.ts_us = ts_us;
-    e.kind = kind;
-    e.actor = actor;
-    e.detail = detail;
-    hops.push_back(std::move(e));
+    evict_node(victim);
   }
 
   /// Append a decision record to the (current scope, flow) ledger.
   void note(std::uint64_t ts_us, const FlowKey& flow, std::string_view kind,
             std::initializer_list<EventField> fields, std::uint64_t pkt = 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (max_flows_ == 0) return;
-    Ledger& led = ledger_locked(current_scope(), flow);
     ProvRecord r;
     r.ts_us = ts_us;
-    r.seq = led.next_seq++;
     r.kind = kind;
     r.pkt = pkt;
     r.fields.assign(fields.begin(), fields.end());
-    if (ledger_capacity_ == 0) return;
-    if (led.ring.size() >= ledger_capacity_) {
-      led.ring.pop_front();
-      led.dropped += 1;
+    LedgerKey key{current_scope(), flow};
+    LedgerStripe& s = stripe_of(ledger_stripes_, flow_hash(flow));
+    std::optional<LedgerKey> victim;
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      if (max_flows_ == 0) return;
+      auto [it, inserted] = s.ledgers.try_emplace(key);
+      if (inserted) victim = claim_ledger_slot(s, key);
+      Ledger& led = it->second;
+      r.seq = led.next_seq++;
+      if (ledger_capacity_ != 0) {
+        if (led.ring.size() >= ledger_capacity_) {
+          led.ring.pop_front();
+          led.dropped += 1;
+        }
+        led.ring.push_back(std::move(r));
+      }
     }
-    led.ring.push_back(std::move(r));
+    if (victim) evict_ledger(*victim);
   }
 
   /// note() for sites holding the serialized datagram: derives the flow key
@@ -280,84 +298,146 @@ class ProvenanceRecorder {
   }
 
   std::optional<NodeInfo> node(std::uint64_t id) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = nodes_.find(id);
-    if (it == nodes_.end()) return std::nullopt;
+    const NodeStripe& s = stripe_of(node_stripes_, id);
+    std::lock_guard<std::mutex> lock(s.mu);
+    auto it = s.nodes.find(id);
+    if (it == s.nodes.end()) return std::nullopt;
     return it->second;
   }
 
   /// Causal hops into `child`, deterministic order.
   std::vector<EdgeInfo> parents_of(std::uint64_t child) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = edges_.find(child);
-    if (it == edges_.end()) return {};
-    std::vector<EdgeInfo> out = it->second;
+    std::vector<EdgeInfo> out;
+    {
+      const NodeStripe& s = stripe_of(node_stripes_, child);
+      std::lock_guard<std::mutex> lock(s.mu);
+      auto it = s.edges.find(child);
+      if (it == s.edges.end()) return {};
+      out = it->second;
+    }
     std::sort(out.begin(), out.end(), edge_less);
     return out;
   }
 
   /// Every ledger recorded for `flow`, across all scopes, sorted by scope.
   std::vector<LedgerSnapshot> ledgers_for(const FlowKey& flow) const {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const LedgerStripe& s = stripe_of(ledger_stripes_, flow_hash(flow));
+    std::lock_guard<std::mutex> lock(s.mu);
     std::vector<LedgerSnapshot> out;
-    for (const auto& [key, led] : ledgers_) {
+    for (const auto& [key, led] : s.ledgers) {
       if (!(key.second == flow)) continue;
-      out.push_back(snapshot_ledger_locked(key, led));
+      out.push_back(snapshot_ledger(key, led));
     }
     return out;  // std::map iteration is already (scope, flow)-ordered
   }
 
   ProvSnapshot snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
     ProvSnapshot snap;
-    snap.nodes.reserve(nodes_.size());
-    for (const auto& [id, n] : nodes_) snap.nodes.push_back(n);
+    {
+      auto locks = lock_all(node_stripes_);
+      for (const NodeStripe& s : node_stripes_) {
+        for (const auto& [id, n] : s.nodes) snap.nodes.push_back(n);
+        for (const auto& [child, hops] : s.edges) {
+          snap.edges.insert(snap.edges.end(), hops.begin(), hops.end());
+        }
+        snap.nodes_evicted += s.evicted;
+      }
+    }
+    {
+      auto locks = lock_all(ledger_stripes_);
+      for (const LedgerStripe& s : ledger_stripes_) {
+        for (const auto& [key, led] : s.ledgers) {
+          snap.ledgers.push_back(snapshot_ledger(key, led));
+          snap.total_records += led.next_seq;
+        }
+        snap.ledgers_evicted += s.evicted;
+      }
+    }
     std::sort(snap.nodes.begin(), snap.nodes.end(),
               [](const NodeInfo& a, const NodeInfo& b) { return a.id < b.id; });
-    for (const auto& [child, hops] : edges_) {
-      snap.edges.insert(snap.edges.end(), hops.begin(), hops.end());
-    }
     std::sort(snap.edges.begin(), snap.edges.end(), edge_less);
-    for (const auto& [key, led] : ledgers_) {
-      LedgerSnapshot ls = snapshot_ledger_locked(key, led);
-      snap.total_records += ls.total;
-      snap.ledgers.push_back(std::move(ls));
-    }
-    snap.nodes_evicted = nodes_evicted_;
-    snap.ledgers_evicted = ledgers_evicted_;
+    std::sort(snap.ledgers.begin(), snap.ledgers.end(),
+              [](const LedgerSnapshot& a, const LedgerSnapshot& b) {
+                return std::tie(a.scope, a.flow) < std::tie(b.scope, b.flow);
+              });
     return snap;
   }
 
   void set_node_capacity(std::size_t cap) {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto locks = lock_all(node_stripes_);
+    std::vector<std::uint64_t> fifo;  // live ids, oldest first
+    const std::uint64_t next = node_next_.load(std::memory_order_relaxed);
+    for (std::uint64_t n = next - std::min<std::uint64_t>(next, node_capacity_);
+         n < next; ++n) {
+      std::uint64_t id = node_ring_[n % node_capacity_].load(
+          std::memory_order_relaxed);
+      if (id != 0) fifo.push_back(id);
+    }
+    const std::size_t excess = fifo.size() > cap ? fifo.size() - cap : 0;
+    for (std::size_t i = 0; i < excess; ++i) {
+      erase_node_locked(stripe_of(node_stripes_, fifo[i]), fifo[i]);
+    }
     node_capacity_ = cap;
-    evict_nodes_locked();
+    node_ring_ = std::vector<std::atomic<std::uint64_t>>(cap);
+    for (std::size_t i = excess; i < fifo.size(); ++i) {
+      node_ring_[i - excess].store(fifo[i], std::memory_order_relaxed);
+    }
+    node_next_.store(fifo.size() - excess, std::memory_order_relaxed);
   }
   void set_ledger_capacity(std::size_t cap) {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto locks = lock_all(ledger_stripes_);
     ledger_capacity_ = cap;
-    for (auto& [key, led] : ledgers_) {
-      while (led.ring.size() > ledger_capacity_) {
-        led.ring.pop_front();
-        led.dropped += 1;
+    for (LedgerStripe& s : ledger_stripes_) {
+      for (auto& [key, led] : s.ledgers) {
+        while (led.ring.size() > ledger_capacity_) {
+          led.ring.pop_front();
+          led.dropped += 1;
+        }
       }
     }
   }
   void set_max_flows(std::size_t cap) {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto locks = lock_all(ledger_stripes_);
+    std::vector<LedgerKey> fifo;  // live ledgers, oldest first
+    const std::uint64_t next = ledger_next_.load(std::memory_order_relaxed);
+    for (std::uint64_t n = next - std::min<std::uint64_t>(next, max_flows_);
+         n < next; ++n) {
+      LedgerSlot& slot = ledger_ring_[n % max_flows_];
+      std::lock_guard<std::mutex> lock(slot.mu);
+      if (slot.key) fifo.push_back(*slot.key);
+    }
+    const std::size_t excess = fifo.size() > cap ? fifo.size() - cap : 0;
+    for (std::size_t i = 0; i < excess; ++i) {
+      const LedgerKey& key = fifo[i];
+      erase_ledger_locked(stripe_of(ledger_stripes_, flow_hash(key.second)),
+                          key);
+    }
     max_flows_ = cap;
-    evict_ledgers_locked();
+    ledger_ring_ = std::vector<LedgerSlot>(cap);
+    for (std::size_t i = excess; i < fifo.size(); ++i) {
+      ledger_ring_[i - excess].key = fifo[i];
+    }
+    ledger_next_.store(fifo.size() - excess, std::memory_order_relaxed);
   }
 
   void reset() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    nodes_.clear();
-    node_order_.clear();
-    edges_.clear();
-    ledgers_.clear();
-    ledger_order_.clear();
-    nodes_evicted_ = 0;
-    ledgers_evicted_ = 0;
+    {
+      auto locks = lock_all(node_stripes_);
+      for (NodeStripe& s : node_stripes_) {
+        s.nodes.clear();
+        s.edges.clear();
+        s.evicted = 0;
+      }
+      for (auto& slot : node_ring_) slot.store(0, std::memory_order_relaxed);
+      node_next_.store(0, std::memory_order_relaxed);
+    }
+    auto locks = lock_all(ledger_stripes_);
+    for (LedgerStripe& s : ledger_stripes_) {
+      s.ledgers.clear();
+      s.evicted = 0;
+    }
+    ledger_ring_ = std::vector<LedgerSlot>(max_flows_);
+    ledger_next_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -368,6 +448,32 @@ class ProvenanceRecorder {
     std::uint64_t dropped = 0;
     std::uint64_t next_seq = 0;
   };
+
+  // Storage is striped by key so that recording threads rarely share a
+  // lock: a packet node and the edges into it live in the stripe of the
+  // packet id, and every scope's ledger of one flow in the stripe of the
+  // canonical flow key. Each stripe's mutex guards its maps and its
+  // eviction count; the capacities and rings below change only with every
+  // stripe of their table locked (lock_all, in index order), so reading
+  // them under any one stripe lock is safe.
+  struct alignas(64) NodeStripe {
+    mutable std::mutex mu;
+    std::unordered_map<std::uint64_t, NodeInfo> nodes;
+    std::unordered_map<std::uint64_t, std::vector<EdgeInfo>> edges;  // by child
+    std::uint64_t evicted = 0;
+  };
+  struct alignas(64) LedgerStripe {
+    mutable std::mutex mu;
+    std::map<LedgerKey, Ledger> ledgers;
+    std::uint64_t evicted = 0;
+  };
+  struct LedgerSlot {
+    std::mutex mu;
+    std::optional<LedgerKey> key;
+  };
+
+  static constexpr int kStripeBits = 6;
+  static constexpr std::size_t kMaxEdgesPerChild = 16;
 
   ProvenanceRecorder() = default;
 
@@ -382,52 +488,113 @@ class ProvenanceRecorder {
            std::tuple(b.child, b.parent, b.kind, b.actor);
   }
 
-  void register_node_locked(std::uint64_t id, std::uint32_t size,
-                            std::string_view kind) {
-    auto [it, inserted] = nodes_.try_emplace(id);
-    if (inserted) {
-      it->second.id = id;
-      it->second.size = size;
-      it->second.kind = kind;
-      node_order_.push_back(id);
-      evict_nodes_locked();
-    } else if (it->second.kind == "wire" && kind != "wire") {
-      it->second.kind = kind;  // upgrade a stub to its real origin kind
-    }
+  template <typename Stripes>
+  static auto stripe_of(Stripes& stripes, std::uint64_t hash)
+      -> decltype(stripes[0]) {
+    return stripes[(hash * 0x9e3779b97f4a7c15ULL) >> (64 - kStripeBits)];
+  }
+  static std::uint64_t flow_hash(const FlowKey& k) {
+    return ((std::uint64_t{k.ip_a} << 32) | k.ip_b) ^
+           (((std::uint64_t{k.port_a} << 32) | (std::uint64_t{k.port_b} << 16) |
+             (std::uint64_t{k.proto} << 1) | std::uint64_t{k.valid}) *
+            0xff51afd7ed558ccdULL);
   }
 
-  void evict_nodes_locked() {
-    while (nodes_.size() > node_capacity_ && !node_order_.empty()) {
-      std::uint64_t victim = node_order_.front();
-      node_order_.pop_front();
-      nodes_.erase(victim);
-      edges_.erase(victim);
-      nodes_evicted_ += 1;
-    }
+  template <typename Stripe, std::size_t N>
+  static std::vector<std::unique_lock<std::mutex>> lock_all(
+      const std::array<Stripe, N>& stripes) {
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(N);
+    for (const Stripe& s : stripes) locks.emplace_back(s.mu);
+    return locks;
   }
 
-  Ledger& ledger_locked(std::uint64_t scope, const FlowKey& flow) {
-    LedgerKey key{scope, flow};
-    auto it = ledgers_.find(key);
-    if (it == ledgers_.end()) {
-      ledgers_.emplace(key, Ledger{});
-      ledger_order_.push_back(key);
-      evict_ledgers_locked();  // with max_flows_ >= 1 the victim is older
-      it = ledgers_.find(key);
+  void register_node(std::uint64_t id, std::uint32_t size,
+                     std::string_view kind) {
+    NodeStripe& s = stripe_of(node_stripes_, id);
+    std::uint64_t victim = 0;
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      victim = register_node_locked(s, id, size, kind);
     }
-    return it->second;
+    evict_node(victim);
   }
 
-  void evict_ledgers_locked() {
-    while (ledgers_.size() > max_flows_ && !ledger_order_.empty()) {
-      LedgerKey victim = ledger_order_.front();
-      ledger_order_.pop_front();
-      if (ledgers_.erase(victim) > 0) ledgers_evicted_ += 1;
+  // Inserts `id` into its stripe `s` (held) and claims the next node-ring
+  // slot for it. Returns the id that slot held, the FIFO victim, for the
+  // caller to evict once it has released `s`; a victim in `s` itself is
+  // evicted here instead, and 0 returned.
+  std::uint64_t register_node_locked(NodeStripe& s, std::uint64_t id,
+                                     std::uint32_t size,
+                                     std::string_view kind) {
+    auto [it, inserted] = s.nodes.try_emplace(id);
+    if (!inserted) {
+      if (it->second.kind == "wire" && kind != "wire") {
+        it->second.kind = kind;  // upgrade a stub to its real origin kind
+      }
+      return 0;
     }
+    it->second.id = id;
+    it->second.size = size;
+    it->second.kind = kind;
+    std::uint64_t victim = id;  // at capacity 0 a node evicts itself
+    if (node_capacity_ != 0) {
+      std::uint64_t n = node_next_.fetch_add(1, std::memory_order_relaxed);
+      victim = node_ring_[n % node_capacity_].exchange(
+          id, std::memory_order_relaxed);
+    }
+    if (victim != 0 && &stripe_of(node_stripes_, victim) == &s) {
+      erase_node_locked(s, victim);
+      return 0;
+    }
+    return victim;
   }
 
-  LedgerSnapshot snapshot_ledger_locked(const LedgerKey& key,
-                                        const Ledger& led) const {
+  void evict_node(std::uint64_t victim) {
+    if (victim == 0) return;
+    NodeStripe& s = stripe_of(node_stripes_, victim);
+    std::lock_guard<std::mutex> lock(s.mu);
+    erase_node_locked(s, victim);
+  }
+
+  static void erase_node_locked(NodeStripe& s, std::uint64_t id) {
+    if (s.nodes.erase(id) == 0) return;
+    s.edges.erase(id);
+    s.evicted += 1;
+  }
+
+  // Ledger-ring counterpart of the node claim in register_node_locked. The
+  // keys do not fit one atomic word, so each slot has its own mutex; two
+  // claims meet on a slot only max_flows_ ledger creations apart.
+  std::optional<LedgerKey> claim_ledger_slot(LedgerStripe& s,
+                                             const LedgerKey& key) {
+    std::uint64_t n = ledger_next_.fetch_add(1, std::memory_order_relaxed);
+    LedgerSlot& slot = ledger_ring_[n % max_flows_];
+    std::optional<LedgerKey> victim;
+    {
+      std::lock_guard<std::mutex> lock(slot.mu);
+      victim = std::exchange(slot.key, key);
+    }
+    if (victim &&
+        &stripe_of(ledger_stripes_, flow_hash(victim->second)) == &s) {
+      erase_ledger_locked(s, *victim);
+      return std::nullopt;
+    }
+    return victim;
+  }
+
+  void evict_ledger(const LedgerKey& victim) {
+    LedgerStripe& s = stripe_of(ledger_stripes_, flow_hash(victim.second));
+    std::lock_guard<std::mutex> lock(s.mu);
+    erase_ledger_locked(s, victim);
+  }
+
+  static void erase_ledger_locked(LedgerStripe& s, const LedgerKey& key) {
+    if (s.ledgers.erase(key) > 0) s.evicted += 1;
+  }
+
+  static LedgerSnapshot snapshot_ledger(const LedgerKey& key,
+                                        const Ledger& led) {
     LedgerSnapshot ls;
     ls.scope = key.first;
     ls.flow = key.second;
@@ -437,19 +604,23 @@ class ProvenanceRecorder {
     return ls;
   }
 
-  static constexpr std::size_t kMaxEdgesPerChild = 16;
-
-  mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, NodeInfo> nodes_;
-  std::deque<std::uint64_t> node_order_;  // FIFO for eviction
-  std::unordered_map<std::uint64_t, std::vector<EdgeInfo>> edges_;
-  std::map<LedgerKey, Ledger> ledgers_;
-  std::deque<LedgerKey> ledger_order_;
+  std::array<NodeStripe, std::size_t{1} << kStripeBits> node_stripes_;
+  std::array<LedgerStripe, std::size_t{1} << kStripeBits> ledger_stripes_;
   std::size_t node_capacity_ = 65536;
   std::size_t ledger_capacity_ = 512;
   std::size_t max_flows_ = 1024;
-  std::uint64_t nodes_evicted_ = 0;
-  std::uint64_t ledgers_evicted_ = 0;
+
+  // One FIFO ring of insertion order per table. Inserting a key claims the
+  // next slot with a relaxed fetch_add; the key that slot held, inserted
+  // capacity-many insertions earlier, is the eviction victim. Every live
+  // key sits in exactly one slot, so live keys never exceed the capacity
+  // and a serial run evicts exactly the oldest key, as one global FIFO
+  // would. Node slots are bare ids (0 = empty) to keep the ring compact.
+  std::vector<std::atomic<std::uint64_t>> node_ring_ =
+      std::vector<std::atomic<std::uint64_t>>(65536);
+  alignas(64) std::atomic<std::uint64_t> node_next_{0};
+  std::vector<LedgerSlot> ledger_ring_ = std::vector<LedgerSlot>(1024);
+  alignas(64) std::atomic<std::uint64_t> ledger_next_{0};
 };
 
 /// RAII scope binding for the calling thread; the round scheduler opens one

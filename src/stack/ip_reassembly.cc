@@ -71,8 +71,9 @@ std::optional<Bytes> IpReassembler::push(BytesView datagram,
   buf.pieces.push_back(
       Piece{offset, Bytes(payload.begin(), payload.end()), buf.pieces.size()});
 #if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
-  buf.piece_ids.push_back(
-      obs::prov::ProvenanceRecorder::instance().packet(datagram, "wire"));
+  buf.piece_ids.emplace_back(
+      obs::prov::ProvenanceRecorder::instance().packet(datagram, "wire"),
+      static_cast<std::uint32_t>(datagram.size()));
 #endif
   if (!v.flag_more_fragments) {
     std::size_t claimed = offset + payload.size();
@@ -168,8 +169,8 @@ std::optional<Bytes> IpReassembler::push(BytesView datagram,
   {
     auto& rec = obs::prov::ProvenanceRecorder::instance();
     std::uint64_t whole_id = rec.packet(whole, "wire");
-    for (std::uint64_t piece : buf.piece_ids) {
-      rec.edge_ids(now, piece, 0, whole_id,
+    for (auto [piece, piece_size] : buf.piece_ids) {
+      rec.edge_ids(now, piece, piece_size, whole_id,
                    static_cast<std::uint32_t>(whole.size()), "reassembly",
                    "ip-reassembler");
     }

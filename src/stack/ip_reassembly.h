@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "netsim/packet.h"
@@ -96,10 +97,11 @@ class IpReassembler {
     netsim::TimePoint first_seen;
     // Header template taken from the offset-0 fragment.
     std::optional<netsim::Ipv4Header> header;
-    // Lineage ids of the buffered fragments, recorded only when the
-    // provenance recorder is compiled in (layout is level-independent so
-    // mixed-level TUs stay ODR-safe).
-    std::vector<std::uint64_t> piece_ids;
+    // Lineage id and datagram size of each buffered fragment, recorded only
+    // when the provenance recorder is compiled in (layout is
+    // level-independent so mixed-level TUs stay ODR-safe). The size lets the
+    // reassembly edge re-register a fragment whose node was evicted.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> piece_ids;
   };
 
   void evict_oldest();

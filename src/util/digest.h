@@ -48,6 +48,8 @@ class Digest {
   Digest() = default;
 
   void update(const void* data, std::size_t size) {
+    // An empty span may carry a null pointer, which memcpy must not see.
+    if (size == 0) return;
     const auto* p = static_cast<const std::uint8_t*>(data);
     total_ += size;
     // Top up a partial block first.

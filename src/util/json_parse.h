@@ -8,10 +8,13 @@
 // stack. Malformed input yields std::nullopt, never UB.
 #pragma once
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,6 +38,23 @@ struct JsonValue {
   bool is_string() const { return kind == Kind::kString; }
   bool is_array() const { return kind == Kind::kArray; }
   bool is_object() const { return kind == Kind::kObject; }
+
+  /// The number as an integer of type T: nullopt unless this is a number
+  /// with no fractional part inside T's range. Loaders read integers
+  /// through this, since casting an out-of-range double is undefined.
+  template <typename T>
+  std::optional<T> as_integer() const {
+    static_assert(std::is_integral_v<T>);
+    // Both bounds are exact doubles: min is 0 or -2^k, and max + 1 is 2^k.
+    constexpr double kMin = static_cast<double>(std::numeric_limits<T>::min());
+    constexpr double kEnd =
+        2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    if (!is_number() || !(number >= kMin && number < kEnd) ||
+        number != std::trunc(number)) {
+      return std::nullopt;
+    }
+    return static_cast<T>(number);
+  }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const {

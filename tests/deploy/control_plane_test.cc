@@ -218,6 +218,39 @@ TEST(FingerprintCache, RejectsMalformedJson) {
                    .has_value());
 }
 
+// Integers arrive as JSON doubles; converting one outside the target type
+// would be undefined behaviour, so each must reject the whole file.
+TEST(FingerprintCache, RejectsOutOfRangeIntegers) {
+  ClassifierFingerprintCache cache;
+  cache.store(sample_entry());
+  const std::string ok = cache.to_json();
+  // `member` is a key with its value as written, e.g. "\"version\":2".
+  auto load_with = [&](std::string_view member, const char* value) {
+    std::string text = ok;
+    const std::size_t at = text.find(member);
+    EXPECT_NE(at, std::string::npos) << member;
+    const std::size_t colon = member.find(':') + 1;
+    text.replace(at + colon, member.size() - colon, value);
+    return ClassifierFingerprintCache::from_json(text);
+  };
+  for (const char* bad : {"1e300", "-1", "4294967296", "2.5"}) {
+    EXPECT_FALSE(load_with("\"version\":2", bad).has_value()) << bad;
+  }
+  // The int hop count holds -1, but not 2^32 or fractions.
+  for (const char* bad : {"1e300", "4294967296", "2.5"}) {
+    EXPECT_FALSE(load_with("\"middlebox_hops\":1", bad).has_value()) << bad;
+  }
+  // size_t members hold 2^32 but not 2^64, negatives or fractions.
+  for (const char* member :
+       {"\"packet_limit\":5", "\"message\":0", "\"offset\":4",
+        "\"length\":5", "\"extra_packets\":9", "\"extra_bytes\":360"}) {
+    for (const char* bad : {"1e300", "-1", "2.5", "18446744073709551616"}) {
+      EXPECT_FALSE(load_with(member, bad).has_value()) << member << bad;
+    }
+    EXPECT_TRUE(load_with(member, "4294967296").has_value()) << member;
+  }
+}
+
 TEST(FingerprintCache, SaveAndLoadFile) {
   ClassifierFingerprintCache cache;
   cache.store(sample_entry());

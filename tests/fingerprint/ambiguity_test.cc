@@ -78,6 +78,22 @@ TEST(AmbiguityDigest, JsonRejectsMalformedAndWrongVersion) {
   EXPECT_FALSE(AmbiguityDigest::from_json(wrong).has_value());
 }
 
+// Integers arrive as JSON doubles; each of these is out of range (or not
+// an integer) for the int version and the uint32 bits and variant count,
+// and converting it would be undefined behaviour.
+TEST(AmbiguityDigest, JsonRejectsOutOfRangeIntegers) {
+  const std::string ok = digest_of({{"x", 1, 1}}).to_json();
+  for (const std::string key : {"\"version\":", "\"bits\":", "\"variants\":"}) {
+    const std::size_t at = ok.find(key + "1");
+    ASSERT_NE(at, std::string::npos) << key;
+    for (const char* bad : {"1e300", "-1", "4294967296", "2.5"}) {
+      std::string text = ok;
+      text.replace(at + key.size(), 1, bad);
+      EXPECT_FALSE(AmbiguityDigest::from_json(text).has_value()) << key << bad;
+    }
+  }
+}
+
 TEST(AmbiguityDigest, ResolutionLabelRendersHexBits) {
   EXPECT_EQ(resolution_label({"tcp-overlap", 0x25, 3}), "tcp-overlap:25");
 }

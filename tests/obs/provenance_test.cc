@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <sstream>
 #include <thread>
 
 #include "obs/provenance/chrome_trace.h"
 #include "obs/provenance/explain.h"
 #include "obs/snapshot.h"
+#include "util/thread_pool.h"
 
 namespace liberate::obs::prov {
 namespace {
@@ -315,6 +318,140 @@ TEST_F(ProvenanceTest, ProvenanceConcurrencyManyThreads) {
   EXPECT_EQ(snap.ledgers.size(), static_cast<std::size_t>(kThreads));
   EXPECT_EQ(snap.total_records,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+// Differential test of the striped recorder: the same script of packet /
+// edge / note calls, run as tasks on a 4-worker pool and serially, must
+// leave the same recorder state.
+class ProvenanceConcurrency : public ProvenanceTest {
+ protected:
+  static constexpr int kTasks = 16;
+  static constexpr int kSteps = 40;
+  static constexpr int kShared = 24;
+
+  // Shared packets: three client addresses x five ports, so several packets
+  // share a flow and every flow is seen by several tasks.
+  static Bytes shared_packet(int k) {
+    return fake_ipv4(6, 0x0a000001u + static_cast<std::uint32_t>(k % 3),
+                     static_cast<std::uint16_t>(1000 + k % 5), 0xc0a80001u, 80,
+                     {static_cast<std::uint8_t>(k)});
+  }
+
+  // One task's script. Every field a task writes into shared state (node
+  // kind, edge ts/detail) is a function of the packets alone, and each
+  // child has at most four distinct parents (under the fan-in cap), so the
+  // outcome cannot depend on which task gets there first. Ledgers are
+  // per task (one scope each), so their record order is the task's own.
+  static void run_task(int t) {
+    auto& rec = ProvenanceRecorder::instance();
+    ScopedProvScope scope(static_cast<std::uint64_t>(t + 1));
+    for (int s = 0; s < kSteps; ++s) {
+      const int c = (t * 7 + s * 3 + 1) % kShared;
+      const int p = (c + 1 + (t + s) % 4) % kShared;
+      Bytes child = shared_packet(c);
+      Bytes parent = shared_packet(p);
+      if ((t + s) % 3 == 0) rec.packet(parent, "tcp");
+      rec.edge(static_cast<std::uint64_t>(p * 100 + c), parent, child, "split",
+               "stress", "of " + std::to_string(p));
+      rec.note_pkt(static_cast<std::uint64_t>(s), child, "rules-evaluated",
+                   {fv("task", t), fv("step", s)});
+      if (s % 5 == 0) {
+        rec.note(static_cast<std::uint64_t>(s), flow_key_of(parent), "dpi-skip",
+                 {fv("reason", "stress")});
+      }
+    }
+  }
+
+  static std::string describe(const ProvSnapshot& snap) {
+    std::ostringstream out;
+    for (const NodeInfo& n : snap.nodes) {
+      out << "node " << id_hex(n.id) << ' ' << n.size << ' ' << n.kind << '\n';
+    }
+    for (const EdgeInfo& e : snap.edges) {
+      out << "edge " << id_hex(e.child) << " <- " << id_hex(e.parent) << ' '
+          << e.ts_us << ' ' << e.kind << ' ' << e.actor << ' ' << e.detail
+          << '\n';
+    }
+    for (const LedgerSnapshot& l : snap.ledgers) {
+      out << "ledger " << l.scope << ' ' << l.flow.to_string() << " total "
+          << l.total << " dropped " << l.dropped << '\n';
+      for (const ProvRecord& r : l.records) {
+        out << "  " << r.seq << ' ' << r.ts_us << ' ' << r.kind << ' '
+            << id_hex(r.pkt);
+        for (const EventField& f : r.fields) {
+          out << ' ' << f.key << '=' << f.value;
+        }
+        out << '\n';
+      }
+    }
+    out << "evicted " << snap.nodes_evicted << ' ' << snap.ledgers_evicted
+        << " records " << snap.total_records << '\n';
+    return out.str();
+  }
+
+  template <typename Task>
+  static void run_on_pool(Task task) {
+    ThreadPool pool(4);
+    std::vector<std::future<void>> done;
+    for (int t = 0; t < kTasks; ++t) {
+      done.push_back(pool.submit([task, t] { task(t); }));
+    }
+    for (auto& f : done) f.get();
+  }
+};
+
+TEST_F(ProvenanceConcurrency, PoolWorkersMatchSerial) {
+  auto& rec = ProvenanceRecorder::instance();
+  // Small per-ledger rings so `dropped` is exercised; each ledger belongs to
+  // one task, so its drops do not depend on scheduling. No shared cap (node
+  // table, flow set) is reached.
+  rec.set_ledger_capacity(8);
+
+  for (int t = 0; t < kTasks; ++t) run_task(t);
+  ProvSnapshot serial = rec.snapshot();
+  rec.reset();
+  run_on_pool(run_task);
+  ProvSnapshot pooled = rec.snapshot();
+
+  EXPECT_EQ(serial.nodes_evicted, 0u);
+  EXPECT_EQ(serial.ledgers_evicted, 0u);
+  EXPECT_EQ(serial.nodes.size(), static_cast<std::size_t>(kShared));
+  EXPECT_FALSE(serial.edges.empty());
+  EXPECT_EQ(serial.total_records,
+            static_cast<std::uint64_t>(kTasks) * (kSteps + kSteps / 5));
+  EXPECT_TRUE(std::any_of(
+      serial.ledgers.begin(), serial.ledgers.end(),
+      [](const LedgerSnapshot& l) { return l.dropped > 0; }));
+  EXPECT_EQ(describe(serial), describe(pooled));
+
+  // With a small node cap and flow cap the eviction rings are contended.
+  // Every packet and every (scope, flow) below is inserted exactly once, so
+  // live + evicted must account for each of them exactly.
+  constexpr std::size_t kNodeCap = 64;
+  constexpr std::size_t kFlowCap = 16;
+  constexpr int kPerTask = 48;
+  rec.reset();
+  rec.set_node_capacity(kNodeCap);
+  rec.set_max_flows(kFlowCap);
+  run_on_pool([](int t) {
+    auto& r = ProvenanceRecorder::instance();
+    ScopedProvScope scope(static_cast<std::uint64_t>(t + 1));
+    for (int i = 0; i < kPerTask; ++i) {
+      auto u8 = [](int v) { return static_cast<std::uint8_t>(v); };
+      r.packet(fake_ipv4(6, 1, 1, 2, 2, {u8(t), u8(i), 0}), "tcp");
+      r.edge(0, fake_ipv4(6, 1, 1, 2, 2, {u8(t), u8(i), 1}),
+             fake_ipv4(6, 1, 1, 2, 2, {u8(t), u8(i), 2}), "split", "stress");
+      r.note(0, flow_key(1, static_cast<std::uint16_t>(i), 2, 2, 6),
+             "dpi-skip", {});
+    }
+  });
+  ProvSnapshot capped = rec.snapshot();
+  EXPECT_LE(capped.nodes.size(), kNodeCap);
+  EXPECT_EQ(capped.nodes.size() + capped.nodes_evicted,
+            static_cast<std::uint64_t>(kTasks) * kPerTask * 3);
+  EXPECT_LE(capped.ledgers.size(), kFlowCap);
+  EXPECT_EQ(capped.ledgers.size() + capped.ledgers_evicted,
+            static_cast<std::uint64_t>(kTasks) * kPerTask);
 }
 
 }  // namespace

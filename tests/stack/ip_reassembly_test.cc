@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "netsim/packet.h"
+#include "obs/provenance/recorder.h"
 #include "util/rng.h"
 
 namespace liberate::stack {
@@ -259,6 +260,43 @@ TEST(IpReassemblyRobustness, OverlongPieceIsClampedToMaxDatagram) {
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(parse_ipv4(*out).value().payload.size(), 64u);
 }
+
+#if LIBERATE_OBS_LEVEL >= 2
+class IpReassemblyProvenance : public ::testing::Test {
+ protected:
+  void SetUp() override { obs::prov::ProvenanceRecorder::instance().reset(); }
+  void TearDown() override {
+    auto& rec = obs::prov::ProvenanceRecorder::instance();
+    rec.reset();
+    rec.set_node_capacity(65536);
+  }
+};
+
+// A fragment whose lineage node is evicted before its datagram completes is
+// re-registered by the reassembly edge with its real size, not as a
+// zero-length stub.
+TEST_F(IpReassemblyProvenance, EvictedPieceIsReRegisteredWithItsSize) {
+  auto& rec = obs::prov::ProvenanceRecorder::instance();
+  rec.set_node_capacity(4);
+  IpReassembler r;
+  Bytes first = raw_fragment(0, pattern(16, 0x11), true);
+  Bytes last = raw_fragment(16, pattern(8, 0x22), false);
+  const std::uint64_t first_id = obs::prov::packet_id(first);
+  EXPECT_FALSE(r.push(first, 0));
+  for (std::uint8_t i = 0; i < 4; ++i) rec.packet(pattern(40, i), "wire");
+  ASSERT_FALSE(rec.node(first_id).has_value());  // evicted
+
+  auto out = r.push(last, 0);
+  ASSERT_TRUE(out.has_value());
+  auto node = rec.node(first_id);
+  ASSERT_TRUE(node.has_value());
+  EXPECT_EQ(node->size, first.size());
+  auto hops = rec.parents_of(obs::prov::packet_id(*out));
+  EXPECT_TRUE(std::any_of(hops.begin(), hops.end(), [&](const auto& e) {
+    return e.parent == first_id && e.kind == "reassembly";
+  }));
+}
+#endif
 
 }  // namespace
 }  // namespace liberate::stack
