@@ -94,8 +94,7 @@ int main() {
     CharacterizationOptions copts;
     copts.unique_port_per_round = true;
     auto report = characterize_classifier(runner, app, copts);
-    EvasionEvaluator evaluator(runner, report);
-    auto eval = evaluator.evaluate(app, /*run_pruned=*/true);
+    auto eval = evaluate_suite(runner, report, app, /*run_pruned=*/true);
 
     int evading = 0;
     int cc_only = 0;

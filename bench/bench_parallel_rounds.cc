@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/parallel_analysis.h"
+#include "core/liberate.h"
 #include "core/round_scheduler.h"
 #include "obs/snapshot.h"
 #include "trace/generators.h"
@@ -108,7 +108,7 @@ int main() {
     double total_analysis_wall = 0;
     for (int pass = 1; pass <= 3; ++pass) {
       auto start = Clock::now();
-      SessionReport report = analyze_parallel(scheduler, app);
+      SessionReport report = analyze(scheduler, app);
       double wall = seconds_since(start);
       total_analysis_wall += wall;
       std::printf("analysis #%d %8.3fs %10llu %10llu %10llu %8.1f%%\n", pass,

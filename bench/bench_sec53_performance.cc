@@ -7,7 +7,6 @@
 
 #include "bench/common.h"
 #include "core/liberate.h"
-#include "core/parallel_analysis.h"
 #include "core/round_scheduler.h"
 #include "trace/generators.h"
 
@@ -115,7 +114,7 @@ int main() {
       WorldSpec spec;
       RoundScheduler scheduler(spec, {.workers = workers});
       auto start = Clock::now();
-      auto report = analyze_parallel(scheduler, app);
+      auto report = analyze(scheduler, app);
       double wall = std::chrono::duration<double>(Clock::now() - start).count();
       char mode[32];
       std::snprintf(mode, sizeof(mode), "parallel, %zu worker(s)", workers);

@@ -111,17 +111,13 @@ int main() {
 
   bench::print_header(
       "§6.2 — Amazon Prime Video replay throughput, with/without lib.erate");
-  EvasionEvaluator evaluator(runner, report);
-  auto eval = evaluator.evaluate(app, false);
+  auto eval = evaluate_suite(runner, report, app, false);
   std::string selected = eval.selected.value_or("(none)");
-  Technique* chosen = nullptr;
-  auto suite = build_full_suite();
-  for (auto& t : suite) {
-    if (t->name() == selected) chosen = t.get();
-  }
+  auto chosen = make_technique(selected);
+  const TechniqueContext context = technique_context(report);
 
-  auto without = measure_video(*env, runner, nullptr, evaluator.context(), 31000);
-  auto with = measure_video(*env, runner, chosen, evaluator.context(), 32000);
+  auto without = measure_video(*env, runner, nullptr, context, 31000);
+  auto with = measure_video(*env, runner, chosen.get(), context, 32000);
   std::printf("%-22s %10s %10s\n", "", "avg Mbps", "peak Mbps");
   std::printf("%-22s %10.2f %10.2f   (paper: 1.48 avg, 4.8 peak)\n",
               "without lib.erate", without.avg_mbps, without.peak_mbps);

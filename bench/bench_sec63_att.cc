@@ -46,8 +46,7 @@ int main() {
   json.metric("port_sensitive", report.port_sensitive);
 
   bench::print_header("§6.3 — evasion against a TCP-terminating proxy");
-  EvasionEvaluator evaluator(runner, report);
-  auto eval = evaluator.evaluate(app, /*run_pruned=*/true);
+  auto eval = evaluate_suite(runner, report, app, /*run_pruned=*/true);
   int attempted = 0, worked = 0;
   for (const auto& o : eval.outcomes) {
     if (o.technique.find("udp") != std::string::npos) continue;

@@ -104,7 +104,7 @@ int main() {
     json.metric("fragmentation_evades", f.changed_classification);
   }
   {
-    auto eval = evaluator.evaluate(app, /*run_pruned=*/false);
+    auto eval = evaluate_suite(runner, report, app, /*run_pruned=*/false);
     std::printf("production suite (after pruning) selected: %s\n",
                 eval.selected.value_or("(none)").c_str());
     json.metric("selected_technique", eval.selected.value_or("(none)"));

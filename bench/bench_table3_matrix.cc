@@ -103,8 +103,7 @@ EnvResult evaluate_environment(const std::string& name) {
   CharacterizationOptions copts;
   copts.unique_port_per_round = true;
   auto report = characterize_classifier(runner, tcp_trace, copts);
-  EvasionEvaluator evaluator(runner, report);
-  auto eval = evaluator.evaluate(tcp_trace, /*run_pruned=*/true);
+  auto eval = evaluate_suite(runner, report, tcp_trace, /*run_pruned=*/true);
   for (const auto& o : eval.outcomes) result.tcp[o.technique] = o;
 
   // UDP rows, with the Skype trace.
@@ -119,8 +118,7 @@ EnvResult evaluate_environment(const std::string& name) {
       udp_report = characterize_classifier(runner, skype, uopts);
     }
     udp_report.middlebox_hops = report.middlebox_hops;
-    EvasionEvaluator udp_eval(runner, udp_report);
-    auto ueval = udp_eval.evaluate(skype, /*run_pruned=*/true);
+    auto ueval = evaluate_suite(runner, udp_report, skype, /*run_pruned=*/true);
     for (const auto& o : ueval.outcomes) result.udp[o.technique] = o;
   }
   return result;
@@ -197,5 +195,9 @@ int main() {
   json.metric("rs_agreement_pct", rs_agree.percent());
   json.metric("rs_compared", rs_agree.compared);
   json.metric("rs_matched", rs_agree.matched);
-  return 0;
+  // Every compared cell must agree with the paper.
+  return cc_agree.matched == cc_agree.compared &&
+                 rs_agree.matched == rs_agree.compared
+             ? 0
+             : 1;
 }

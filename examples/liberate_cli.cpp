@@ -116,31 +116,22 @@ int main(int argc, char** argv) {
   // Capture one evaded exchange as a pcap for wireshark/tcpdump inspection.
   if (report.selected_technique && env->pre_middlebox_tap != nullptr) {
     env->pre_middlebox_tap->clear();
-    core::ReplayRunner& runner = lib.runner();
-    auto suite = core::build_full_suite();
-    for (auto& t : suite) {
-      if (t->name() != *report.selected_technique) continue;
-      core::ReplayOptions opts;
-      opts.technique = t.get();
-      opts.context.matching_snippets = c.snippets();
-      opts.context.decoy_payload = core::decoy_request_payload();
-      if (c.middlebox_hops) {
-        opts.context.middlebox_ttl = static_cast<std::uint8_t>(*c.middlebox_hops);
-      }
-      if (!c.port_sensitive) opts.server_port_override = 36000;
-      (void)runner.run(app, opts);
-      Bytes pcap = trace::tap_to_pcap(*env->pre_middlebox_tap);
-      // Artifacts go under examples/out/ (gitignored), never the repo root.
-      std::filesystem::create_directories("examples/out");
-      std::string path = std::string("examples/out/liberate_") + argv[1] +
-                         "_" + argv[2] + "_evasion.pcap";
-      std::ofstream out(path, std::ios::binary);
-      out.write(reinterpret_cast<const char*>(pcap.data()),
-                static_cast<std::streamsize>(pcap.size()));
-      std::printf("pcap=%s packets=%zu\n", path.c_str(),
-                  env->pre_middlebox_tap->seen().size());
-      break;
-    }
+    core::RoundRequest evasion;
+    evasion.trace = app;
+    evasion.technique = *report.selected_technique;
+    evasion.context = core::technique_context(c);
+    if (!c.port_sensitive) evasion.server_port_override = 36000;
+    (void)lib.runner().run(evasion);
+    Bytes pcap = trace::tap_to_pcap(*env->pre_middlebox_tap);
+    // Artifacts go under examples/out/ (gitignored), never the repo root.
+    std::filesystem::create_directories("examples/out");
+    std::string path = std::string("examples/out/liberate_") + argv[1] + "_" +
+                       argv[2] + "_evasion.pcap";
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(pcap.data()),
+              static_cast<std::streamsize>(pcap.size()));
+    std::printf("pcap=%s packets=%zu\n", path.c_str(),
+                env->pre_middlebox_tap->seen().size());
   }
   return 0;
 }

@@ -148,24 +148,16 @@ int main(int argc, char** argv) {
   }
   if (!pick.empty() && report.ran_characterization) {
     const auto& c = report.characterization;
-    for (auto& t : core::build_full_suite()) {
-      if (t->name() != pick) continue;
-      core::ReplayOptions opts;
-      opts.technique = t.get();
-      opts.context.matching_snippets = c.snippets();
-      opts.context.decoy_payload = core::decoy_request_payload();
-      if (c.middlebox_hops) {
-        opts.context.middlebox_ttl =
-            static_cast<std::uint8_t>(*c.middlebox_hops);
-      }
-      if (!c.port_sensitive) opts.server_port_override = 36000;
-      core::ReplayOutcome evaded = runner.run(app, opts);
-      tap_into_capture();
-      std::printf("technique=%s evaded=%s\n", t->name().c_str(),
-                  evaded.blocked || !evaded.completed ? "no" : "yes");
-      explain_and_print("evasion replay", key_of(evaded.flow));
-      break;
-    }
+    core::RoundRequest evasion;
+    evasion.trace = app;
+    evasion.technique = pick;
+    evasion.context = core::technique_context(c);
+    if (!c.port_sensitive) evasion.server_port_override = 36000;
+    core::ReplayOutcome evaded = runner.run(evasion).outcome;
+    tap_into_capture();
+    std::printf("technique=%s evaded=%s\n", pick.c_str(),
+                evaded.blocked || !evaded.completed ? "no" : "yes");
+    explain_and_print("evasion replay", key_of(evaded.flow));
   } else {
     std::printf("no evasion technique selected; skipping evasion replay\n");
   }

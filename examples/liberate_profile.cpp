@@ -23,7 +23,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/parallel_analysis.h"
+#include "core/liberate.h"
 #include "core/report_io.h"
 #include "core/round_scheduler.h"
 #include "obs/level.h"
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   WorldSpec spec;
   spec.environment = environment;
   RoundScheduler scheduler(spec, {.workers = 2, .cache_capacity = 8192});
-  SessionReport report = analyze_parallel(scheduler, trace);
+  SessionReport report = analyze(scheduler, trace);
 
   std::printf("ANALYSIS %s\n", analysis_report_json(report).c_str());
 

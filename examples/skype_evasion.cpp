@@ -16,7 +16,7 @@
 // Build: cmake --build build && ./build/examples/skype_evasion
 #include <cstdio>
 
-#include "core/parallel_analysis.h"
+#include "core/liberate.h"
 #include "core/report_io.h"
 #include "core/round_scheduler.h"
 #include "obs/snapshot.h"
@@ -36,7 +36,7 @@ int main() {
 
   WorldSpec spec;  // testbed classifier (STUN MS-SERVICE-QUALITY rule)
   RoundScheduler scheduler(spec, {.workers = 2, .cache_capacity = 8192});
-  SessionReport report = analyze_parallel(scheduler, skype);
+  SessionReport report = analyze(scheduler, skype);
 
   std::printf("differentiation: %s  content-based: %s  selected: %s\n",
               report.detection.differentiation ? "yes" : "no",
@@ -46,7 +46,7 @@ int main() {
   // Re-analysis (the §4.2 "have the rules changed?" path): every probe is
   // memoized, so this pass is answered from the cache — and must reproduce
   // the first report bit for bit.
-  SessionReport again = analyze_parallel(scheduler, skype);
+  SessionReport again = analyze(scheduler, skype);
   std::printf("re-analysis: %d/%d rounds from cache, report identical: %s\n",
               static_cast<int>(scheduler.rounds_from_cache()),
               report.total_rounds + again.total_rounds,

@@ -47,22 +47,10 @@ int main() {
 
   std::printf("=== throughput: shaped vs evaded ===\n");
   ReplayRunner& runner = lib.runner();
-  TechniqueContext ctx;
-  ctx.matching_snippets = report.characterization.snippets();
-  ctx.decoy_payload = decoy_request_payload();
-  if (report.characterization.middlebox_hops) {
-    ctx.middlebox_ttl =
-        static_cast<std::uint8_t>(*report.characterization.middlebox_hops);
-  }
-  auto suite = build_full_suite();
-  Technique* chosen = nullptr;
-  for (auto& t : suite) {
-    if (report.selected_technique && t->name() == *report.selected_technique) {
-      chosen = t.get();
-    }
-  }
+  const TechniqueContext ctx = deployment_context(report);
+  auto chosen = lib.instantiate(report.selected_technique.value_or(""));
   double shaped = replay_video_mbps(runner, nullptr, ctx, 34001);
-  double freed = replay_video_mbps(runner, chosen, ctx, 34002);
+  double freed = replay_video_mbps(runner, chosen.get(), ctx, 34002);
   std::printf("video goodput without lib.erate: %.2f Mbps (Binge On pins "
               "video at 1.5)\n", shaped);
   std::printf("video goodput with lib.erate:    %.2f Mbps (radio-limited)\n\n",

@@ -19,46 +19,63 @@ trace::ApplicationTrace blind_range(const trace::ApplicationTrace& trace,
 
 namespace {
 
-struct Searcher {
-  const trace::ApplicationTrace& trace;
-  const ClassificationOracle& oracle;
-  BlindingStats* stats;
-  std::size_t granularity;
-  std::vector<MatchingField> fields;
+/// The breadth-first search over messages first, first + stride, ...:
+/// returns the unmerged necessary regions (empty when the baseline is not
+/// classified — there are then no matching fields to find).
+std::vector<MatchingField> search(const trace::ApplicationTrace& trace,
+                                  const ClassificationOracle& oracle,
+                                  BlindingStats* stats, std::size_t granularity,
+                                  std::size_t first, std::size_t stride) {
+  granularity = std::max<std::size_t>(granularity, 1);
 
-  bool still_classified(std::size_t msg, std::size_t off, std::size_t len) {
-    auto modified = blind_range(trace, msg, off, len);
+  auto probe_batch = [&](const std::vector<trace::ApplicationTrace>& probes) {
     if (stats != nullptr) {
-      stats->replay_rounds += 1;
-      stats->bytes_replayed += modified.total_bytes();
+      stats->replay_rounds += static_cast<int>(probes.size());
+      for (const auto& p : probes) stats->bytes_replayed += p.total_bytes();
     }
-    return oracle(modified);
+    return oracle(probes);
+  };
+
+  if (!probe_batch({trace})[0]) return {};
+
+  struct Region {
+    std::size_t msg, off, len;
+  };
+  std::vector<Region> frontier;
+  for (std::size_t m = first; m < trace.messages.size(); m += stride) {
+    std::size_t len = trace.messages[m].payload.size();
+    if (len > 0) frontier.push_back(Region{m, 0, len});
   }
 
-  /// Region is necessary iff blinding it breaks classification.
-  void explore(std::size_t msg, std::size_t off, std::size_t len) {
-    if (len == 0) return;
-    if (still_classified(msg, off, len)) return;  // nothing necessary inside
-    if (len <= granularity) {
-      fields.push_back(MatchingField{msg, off, len, {}});
-      return;
+  std::vector<MatchingField> fields;
+  while (!frontier.empty()) {
+    std::vector<trace::ApplicationTrace> probes;
+    probes.reserve(frontier.size());
+    for (const Region& r : frontier) {
+      probes.push_back(blind_range(trace, r.msg, r.off, r.len));
     }
-    std::size_t half = len / 2;
-    explore(msg, off, half);
-    explore(msg, off + half, len - half);
-    // Fields can straddle the midpoint: if neither half alone is necessary
-    // but the whole region is, the boundary region holds a field fragment.
-    // The per-half recursion above already finds straddling fields because
-    // blinding *either* half of a keyword breaks it; no extra probe needed.
+    std::vector<bool> verdicts = probe_batch(probes);
+
+    std::vector<Region> next;
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      const Region& r = frontier[i];
+      if (verdicts[i]) continue;  // still classified: nothing necessary here
+      if (r.len <= granularity) {
+        fields.push_back(MatchingField{r.msg, r.off, r.len, {}});
+        continue;
+      }
+      // A field straddling the midpoint is still found: blinding either
+      // half of a keyword breaks it, so both halves stay necessary.
+      std::size_t half = r.len / 2;
+      next.push_back(Region{r.msg, r.off, half});
+      next.push_back(Region{r.msg, r.off + half, r.len - half});
+    }
+    frontier = std::move(next);
   }
-};
+  return fields;
+}
 
-}  // namespace
-
-namespace {
-
-/// Sort, merge adjacent regions and attach original content — shared by the
-/// single-user and distributed searches.
+/// Sort, merge adjacent regions and attach original content.
 std::vector<MatchingField> merge_fields(const trace::ApplicationTrace& trace,
                                         std::vector<MatchingField> fields) {
   std::sort(fields.begin(), fields.end(),
@@ -92,115 +109,29 @@ std::vector<MatchingField> merge_fields(const trace::ApplicationTrace& trace,
 
 }  // namespace
 
+std::vector<MatchingField> find_matching_fields(
+    const trace::ApplicationTrace& trace, const ClassificationOracle& oracle,
+    BlindingStats* stats, std::size_t granularity) {
+  return merge_fields(trace,
+                      search(trace, oracle, stats, granularity, 0, 1));
+}
+
 std::vector<MatchingField> find_matching_fields_distributed(
     const trace::ApplicationTrace& trace,
     const std::vector<ClassificationOracle>& users,
     DistributedBlindingStats* stats, std::size_t granularity) {
-  std::vector<MatchingField> fields;
-  if (users.empty()) return fields;
   if (stats != nullptr) stats->per_user.assign(users.size(), BlindingStats{});
-
   // Each user confirms the baseline once, then probes only their share of
-  // the trace's messages (round-robin assignment).
-  for (std::size_t u = 0; u < users.size(); ++u) {
-    BlindingStats user_stats;
-    Searcher s{trace, users[u], &user_stats,
-               std::max<std::size_t>(granularity, 1), {}};
-    user_stats.replay_rounds += 1;
-    user_stats.bytes_replayed += trace.total_bytes();
-    if (!users[u](trace)) {
-      if (stats != nullptr) (*stats).per_user[u] = user_stats;
-      continue;  // this user's vantage sees no differentiation: skip
-    }
-    for (std::size_t m = u; m < trace.messages.size(); m += users.size()) {
-      const Bytes& payload = trace.messages[m].payload;
-      if (payload.empty()) continue;
-      if (s.still_classified(m, 0, payload.size())) continue;
-      s.explore(m, 0, payload.size());
-    }
-    fields.insert(fields.end(), s.fields.begin(), s.fields.end());
-    if (stats != nullptr) (*stats).per_user[u] = user_stats;
-  }
-  return merge_fields(trace, fields);
-}
-
-std::vector<MatchingField> find_matching_fields_batched(
-    const trace::ApplicationTrace& trace,
-    const BatchClassificationOracle& oracle, BlindingStats* stats,
-    std::size_t granularity) {
-  granularity = std::max<std::size_t>(granularity, 1);
-
-  auto probe_batch = [&](const std::vector<trace::ApplicationTrace>& probes) {
-    if (stats != nullptr) {
-      stats->replay_rounds += static_cast<int>(probes.size());
-      for (const auto& p : probes) stats->bytes_replayed += p.total_bytes();
-    }
-    return oracle(probes);
-  };
-
-  // Baseline: the unmodified trace must be classified, or there are no
-  // matching fields to find.
-  if (!probe_batch({trace})[0]) return {};
-
-  struct Region {
-    std::size_t msg, off, len;
-  };
-  std::vector<Region> frontier;
-  for (std::size_t m = 0; m < trace.messages.size(); ++m) {
-    std::size_t len = trace.messages[m].payload.size();
-    if (len > 0) frontier.push_back(Region{m, 0, len});
-  }
-
+  // the trace's messages (round-robin assignment). A user whose vantage
+  // sees no differentiation contributes nothing.
   std::vector<MatchingField> fields;
-  while (!frontier.empty()) {
-    std::vector<trace::ApplicationTrace> probes;
-    probes.reserve(frontier.size());
-    for (const Region& r : frontier) {
-      probes.push_back(blind_range(trace, r.msg, r.off, r.len));
-    }
-    std::vector<bool> verdicts = probe_batch(probes);
-
-    std::vector<Region> next;
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      const Region& r = frontier[i];
-      if (verdicts[i]) continue;  // still classified: nothing necessary here
-      if (r.len <= granularity) {
-        fields.push_back(MatchingField{r.msg, r.off, r.len, {}});
-        continue;
-      }
-      std::size_t half = r.len / 2;
-      next.push_back(Region{r.msg, r.off, half});
-      next.push_back(Region{r.msg, r.off + half, r.len - half});
-    }
-    frontier = std::move(next);
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    std::vector<MatchingField> mine =
+        search(trace, users[u], stats ? &stats->per_user[u] : nullptr,
+               granularity, u, users.size());
+    fields.insert(fields.end(), mine.begin(), mine.end());
   }
   return merge_fields(trace, std::move(fields));
-}
-
-std::vector<MatchingField> find_matching_fields(
-    const trace::ApplicationTrace& trace, const ClassificationOracle& oracle,
-    BlindingStats* stats, std::size_t granularity) {
-  Searcher s{trace, oracle, stats, std::max<std::size_t>(granularity, 1), {}};
-
-  // Baseline: the unmodified trace must be classified, or there are no
-  // matching fields to find.
-  {
-    if (stats != nullptr) {
-      stats->replay_rounds += 1;
-      stats->bytes_replayed += trace.total_bytes();
-    }
-    if (!oracle(trace)) return {};
-  }
-
-  for (std::size_t m = 0; m < trace.messages.size(); ++m) {
-    const Bytes& payload = trace.messages[m].payload;
-    if (payload.empty()) continue;
-    // One cheap whole-message probe prunes messages with no matching bytes.
-    if (s.still_classified(m, 0, payload.size())) continue;
-    s.explore(m, 0, payload.size());
-  }
-
-  return merge_fields(trace, std::move(s.fields));
 }
 
 }  // namespace liberate::core

@@ -1,9 +1,9 @@
-// blinding.h — recursive binary blinding search for matching fields (§4.2).
+// blinding.h — binary blinding search for matching fields (§4.2).
 //
 // "Blinding" a byte range means inverting its bits, which deterministically
 // removes any pattern a classifier rule could match. A region is *necessary*
-// if blinding it stops classification; recursing on necessary regions down
-// to a small granularity yields the byte ranges of every matching field.
+// if blinding it stops classification; halving necessary regions down to a
+// small granularity yields the byte ranges of every matching field.
 #pragma once
 
 #include <algorithm>
@@ -26,10 +26,11 @@ struct BlindingStats {
   std::uint64_t bytes_replayed = 0;
 };
 
-/// Oracle: replay the (modified) trace, return true if the classifier still
-/// classified it. Each call is one replay round.
+/// Oracle: replay each (modified) trace of a wave and report, in order,
+/// whether the classifier still classified it. Each trace is one replay
+/// round.
 using ClassificationOracle =
-    std::function<bool(const trace::ApplicationTrace&)>;
+    std::function<std::vector<bool>(const std::vector<trace::ApplicationTrace>&)>;
 
 /// Return a copy of `trace` with [offset, offset+length) of message
 /// `message_index` bit-inverted.
@@ -37,10 +38,12 @@ trace::ApplicationTrace blind_range(const trace::ApplicationTrace& trace,
                                     std::size_t message_index,
                                     std::size_t offset, std::size_t length);
 
-/// Find all matching fields in the trace. `granularity` is the smallest
-/// region the search resolves (trading rounds for precision, §4.2
-/// "characterization efficiency"). Adjacent necessary regions are merged
-/// into one field.
+/// Find all matching fields in the trace, breadth-first: one wave probes the
+/// unmodified baseline, the next every whole message, and each later wave
+/// both halves of every region the previous wave found necessary, down to
+/// `granularity` bytes (trading rounds for precision, §4.2
+/// "characterization efficiency"). The waves depend on the trace and the
+/// verdicts alone. Adjacent necessary regions are merged into one field.
 std::vector<MatchingField> find_matching_fields(
     const trace::ApplicationTrace& trace, const ClassificationOracle& oracle,
     BlindingStats* stats, std::size_t granularity = 4);
@@ -69,24 +72,5 @@ std::vector<MatchingField> find_matching_fields_distributed(
     const trace::ApplicationTrace& trace,
     const std::vector<ClassificationOracle>& users,
     DistributedBlindingStats* stats, std::size_t granularity = 4);
-
-/// Batch oracle: classify many modified traces at once. Backed by the
-/// parallel RoundScheduler, one wave of independent replay rounds; verdicts
-/// come back in submission order.
-using BatchClassificationOracle =
-    std::function<std::vector<bool>(const std::vector<trace::ApplicationTrace>&)>;
-
-/// Breadth-first variant of find_matching_fields: instead of recursing
-/// depth-first one probe at a time, it probes a whole frontier of candidate
-/// regions per wave (all messages, then all halves of the necessary
-/// regions, ...), so every wave fans out across the scheduler's workers.
-/// The probe *set* it explores equals the recursive search's (minus the
-/// recursive variant's duplicate whole-message probe), and the wave
-/// structure is fixed by the trace alone — byte-identical fields and round
-/// counts regardless of worker count or interleaving.
-std::vector<MatchingField> find_matching_fields_batched(
-    const trace::ApplicationTrace& trace,
-    const BatchClassificationOracle& oracle, BlindingStats* stats,
-    std::size_t granularity = 4);
 
 }  // namespace liberate::core

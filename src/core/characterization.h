@@ -65,22 +65,14 @@ struct CharacterizationOptions {
   std::size_t max_ttl_probe = 16;
 };
 
+/// Port sensitivity, then breadth-first blinding, then the position probe
+/// with the whole MTU-prepend ladder as one wave, then the TTL sweep in
+/// waves of 8. The ladder and each TTL wave carry a stop predicate: a shared
+/// world stops at the first prepend count that changes classification and
+/// the first TTL that reaches the classifier, an isolated world probes the
+/// rest speculatively. Both report the same fields and facts.
 CharacterizationReport characterize_classifier(
-    ReplayRunner& runner, const trace::ApplicationTrace& trace,
+    ProbeExecutor& executor, const trace::ApplicationTrace& trace,
     const CharacterizationOptions& options = {});
-
-// Probe-construction helpers shared with the parallel characterizer
-// (core/parallel_analysis) so both build byte-identical probe traces.
-
-/// Insert `count` random messages of `size` bytes before message
-/// `before_index`, sent by the same endpoint as that message (a prepend
-/// probe must land in the direction the classifier counts).
-trace::ApplicationTrace with_prepended_probe(const trace::ApplicationTrace& trace,
-                                             std::size_t before_index,
-                                             std::size_t count,
-                                             std::size_t size, Rng& rng);
-
-/// Index of the first client-sent message (0 when none).
-std::size_t first_client_message_index(const trace::ApplicationTrace& trace);
 
 }  // namespace liberate::core

@@ -4,6 +4,8 @@
 
 namespace liberate::core {
 
+namespace {
+
 /// Random-payload control (the §5.1 fallback): same message structure,
 /// random bytes. Randomization can accidentally contain matching patterns —
 /// which is exactly why bit inversion is the primary control — but it
@@ -16,65 +18,64 @@ trace::ApplicationTrace randomized_control_trace(
   return out;
 }
 
-DetectionResult detect_differentiation(ReplayRunner& runner,
+}  // namespace
+
+DetectionResult detect_differentiation(ProbeExecutor& executor,
                                        const trace::ApplicationTrace& trace,
                                        std::uint16_t server_port_override,
                                        std::uint32_t server_ip_override) {
   DetectionResult result;
-  const double t0 = runner.virtual_seconds_elapsed();
-  ReplayOptions opts;
-  opts.server_port_override = server_port_override;
-  opts.server_ip_override = server_ip_override;
+  ProbeCost cost;
+  auto round = [&](trace::ApplicationTrace t) {
+    RoundRequest req;
+    req.trace = std::move(t);
+    req.server_port_override = server_port_override;
+    req.server_ip_override = server_ip_override;
+    return req;
+  };
 
-  // The bit-inverted control runs FIRST: against escalating censors (the
-  // GFC blocks a server:port outright after two classified flows, §6.5) a
-  // blocked original replay could poison the control's port and fake a
-  // content-independent policy.
-  trace::ApplicationTrace control = trace.bit_inverted();
-  result.inverted = runner.run(control, opts);
-  result.rounds += 1;
-  result.bytes_used += control.total_bytes();
-
-  result.original = runner.run(trace, opts);
-  result.rounds += 1;
-  result.bytes_used += trace.total_bytes();
-
-  result.differentiation = runner.differentiated(result.original);
-  bool inverted_differentiated = runner.differentiated(result.inverted);
+  std::vector<RoundResult> rounds =
+      executor.run_batch({round(trace.bit_inverted()), round(trace)});
+  cost.add(rounds);
+  result.inverted = rounds[0].outcome;
+  result.original = rounds[1].outcome;
+  result.differentiation = rounds[1].differentiated;
+  const bool inverted_differentiated = rounds[0].differentiated;
   result.content_based = result.differentiation && !inverted_differentiated;
 
   // §5.1: "This approach can be detected by middleboxes, so we fall back to
   // randomization if bit inversion fails to reveal correct matching rules."
   if (result.differentiation && inverted_differentiated) {
-    auto random_control = randomized_control_trace(trace, 0xD37EC7);
-    ReplayOptions fallback_opts = opts;
-    if (fallback_opts.server_ip_override == 0) {
+    RoundRequest fallback = round(randomized_control_trace(trace, 0xD37EC7));
+    if (fallback.server_ip_override == 0) {
       // Two differentiated replays may already have escalated the default
       // (server, port) endpoint (GFC, §6.5); judge the control from a fresh
       // address so that only content decides.
-      fallback_opts.server_ip_override = 0xc6336421;  // 198.51.100.33
+      fallback.server_ip_override = 0xc6336421;  // 198.51.100.33
     }
-    ReplayOutcome random_outcome = runner.run(random_control, fallback_opts);
-    result.rounds += 1;
-    result.bytes_used += random_control.total_bytes();
-    if (!runner.differentiated(random_outcome)) {
+    std::vector<RoundResult> random = executor.run_batch({fallback});
+    cost.add(random);
+    if (!random[0].differentiated) {
       result.content_based = true;
       result.used_randomization_fallback = true;
     }
   }
-  result.virtual_seconds = runner.virtual_seconds_elapsed() - t0;
+  result.rounds = cost.rounds;
+  result.bytes_used = cost.bytes;
+  result.virtual_seconds = cost.virtual_seconds;
   return result;
 }
 
 DetectionResult detect_differentiation_robust(
-    ReplayRunner& runner, const trace::ApplicationTrace& trace,
+    ProbeExecutor& executor, const trace::ApplicationTrace& trace,
     const std::vector<std::uint32_t>& unseen_server_ips) {
-  DetectionResult result = detect_differentiation(runner, trace);
+  DetectionResult result = detect_differentiation(executor, trace);
   if (result.differentiation) return result;
   for (std::uint32_t ip : unseen_server_ips) {
-    DetectionResult retry = detect_differentiation(runner, trace, 0, ip);
+    DetectionResult retry = detect_differentiation(executor, trace, 0, ip);
     retry.rounds += result.rounds;
     retry.bytes_used += result.bytes_used;
+    retry.virtual_seconds += result.virtual_seconds;
     if (retry.differentiation) {
       retry.needed_unseen_server = true;
       return retry;

@@ -32,21 +32,20 @@ struct DetectionResult {
   double virtual_seconds = 0;
 };
 
-DetectionResult detect_differentiation(ReplayRunner& runner,
+/// The control and the original go out as one wave, control first: in a
+/// shared world an escalating censor (the GFC blocks a server:port outright
+/// after two classified flows, §6.5) could otherwise poison the control's
+/// port with the original's verdict and fake a content-independent policy.
+DetectionResult detect_differentiation(ProbeExecutor& executor,
                                        const trace::ApplicationTrace& trace,
                                        std::uint16_t server_port_override = 0,
                                        std::uint32_t server_ip_override = 0);
 
 /// §4.2 "Characterization countermeasures": if the default replay server
 /// shows no differentiation, retry from previously unseen server addresses
-/// before concluding the network is clean.
+/// before concluding the network is clean. Costs cover every attempt.
 DetectionResult detect_differentiation_robust(
-    ReplayRunner& runner, const trace::ApplicationTrace& trace,
+    ProbeExecutor& executor, const trace::ApplicationTrace& trace,
     const std::vector<std::uint32_t>& unseen_server_ips);
-
-/// The §5.1 random-payload control: same message structure, random bytes.
-/// Shared with the parallel detector so both build the identical control.
-trace::ApplicationTrace randomized_control_trace(
-    const trace::ApplicationTrace& trace, std::uint64_t seed);
 
 }  // namespace liberate::core

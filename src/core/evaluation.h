@@ -43,15 +43,26 @@ struct EvaluationResult {
   double virtual_seconds = 0;
 };
 
+/// The TechniqueContext evaluation and deployment derive from a
+/// characterization: matching snippets, the decoy payload, and the
+/// localized middlebox TTL.
+TechniqueContext technique_context(const CharacterizationReport& report);
+
+/// Evaluate the whole (pruned, ordered) suite as one wave, then select the
+/// cheapest technique that evaded. Pruned techniques are reported without a
+/// round unless `run_pruned` is set (the full Table 3 matrix needs every
+/// cell; the production path skips them — §5.2 "Efficient evasion
+/// testing"); transport-inapplicable techniques never run.
+EvaluationResult evaluate_suite(ProbeExecutor& executor,
+                                const CharacterizationReport& report,
+                                const trace::ApplicationTrace& trace,
+                                bool run_pruned = false);
+
+/// Single-technique experiments on a shared world (the §6 and Figure 4
+/// sweeps): any Technique instance, under a context the caller may tune.
 class EvasionEvaluator {
  public:
   EvasionEvaluator(ReplayRunner& runner, const CharacterizationReport& report);
-
-  /// Evaluate the whole suite. When `run_pruned` is set, even pruned
-  /// techniques are executed (the full Table 3 matrix needs every cell; the
-  /// production path skips them — §5.2 "Efficient evasion testing").
-  EvaluationResult evaluate(const trace::ApplicationTrace& trace,
-                            bool run_pruned = false);
 
   /// Evaluate one technique (one replay round).
   TechniqueOutcome evaluate_one(Technique& technique,
@@ -65,7 +76,6 @@ class EvasionEvaluator {
   ReplayRunner& runner_;
   const CharacterizationReport& report_;
   TechniqueContext context_;
-  std::vector<std::unique_ptr<Technique>> suite_;
   std::uint16_t next_port_ = 27000;
 };
 

@@ -21,6 +21,13 @@ std::vector<std::unique_ptr<Technique>> build_full_suite() {
   return suite;
 }
 
+std::unique_ptr<Technique> make_technique(const std::string& name) {
+  for (auto& t : build_full_suite()) {
+    if (t->name() == name) return std::move(t);
+  }
+  return nullptr;
+}
+
 std::vector<Technique*> ordered_suite(
     const std::vector<std::unique_ptr<Technique>>& suite,
     const PruningFacts& facts) {

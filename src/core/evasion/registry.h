@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/evasion/flush.h"
@@ -15,6 +16,9 @@ namespace liberate::core {
 /// Everything lib·erate knows, in Table 3 row order: 17 inert variants, 2
 /// splitting, 3 reordering, 4 flushing techniques.
 std::vector<std::unique_ptr<Technique>> build_full_suite();
+
+/// One suite technique, built by name (nullptr if no technique has it).
+std::unique_ptr<Technique> make_technique(const std::string& name);
 
 /// What characterization learned, as far as pruning/ordering cares.
 struct PruningFacts {

@@ -4,19 +4,26 @@
 
 namespace liberate::core {
 
-Liberate::Liberate(dpi::Environment& env, std::uint64_t seed)
-    : env_(env), runner_(env, seed) {}
-
-SessionReport Liberate::analyze(const trace::ApplicationTrace& trace) {
+SessionReport analyze(ProbeExecutor& executor,
+                      const trace::ApplicationTrace& trace) {
   SessionReport report;
-  const int rounds0 = runner_.rounds();
-  const std::uint64_t bytes0 = runner_.bytes_offered();
-  const double t0 = runner_.virtual_seconds_elapsed();
+
+  // Phase spans are stamped with accumulated virtual time: each phase span
+  // covers [virtual time burned before it, virtual time burned after it],
+  // which is deterministic across pool sizes (unlike wall clock).
+  auto virtual_us = [&report]() {
+    return static_cast<std::uint64_t>((report.detection.virtual_seconds +
+                                       report.characterization.virtual_seconds +
+                                       report.evaluation.virtual_seconds) *
+                                      1e6);
+  };
+  (void)virtual_us;
 
   // Phase 1: differentiation detection.
   {
+    LIBERATE_OBS_SPAN("core.phase.detect", virtual_us);
     LIBERATE_COST_SCOPE(kDetection);
-    report.detection = detect_differentiation(runner_, trace);
+    report.detection = detect_differentiation(executor, trace);
   }
   if (report.detection.content_based) {
     // Phase 2: characterization.
@@ -24,43 +31,35 @@ SessionReport Liberate::analyze(const trace::ApplicationTrace& trace) {
     CharacterizationOptions copts;
     copts.unique_port_per_round = true;  // harmless when not needed
     {
+      LIBERATE_OBS_SPAN("core.phase.characterize", virtual_us);
       LIBERATE_COST_SCOPE(kCharacterization);
-      report.characterization = characterize_classifier(runner_, trace, copts);
+      report.characterization = characterize_classifier(executor, trace, copts);
     }
-
     // Phase 3: evasion evaluation (pruned production mode).
-    LIBERATE_COST_SCOPE(kEvaluation);
-    EvasionEvaluator evaluator(runner_, report.characterization);
-    report.evaluation = evaluator.evaluate(trace, /*run_pruned=*/false);
+    {
+      LIBERATE_OBS_SPAN("core.phase.evaluate", virtual_us);
+      LIBERATE_COST_SCOPE(kEvaluation);
+      report.evaluation = evaluate_suite(executor, report.characterization,
+                                         trace, /*run_pruned=*/false);
+    }
     report.selected_technique = report.evaluation.selected;
   }
 
-  report.total_rounds = runner_.rounds() - rounds0;
-  report.total_bytes = runner_.bytes_offered() - bytes0;
-  report.total_virtual_minutes =
-      (runner_.virtual_seconds_elapsed() - t0) / 60.0;
+  report.total_rounds = report.detection.rounds +
+                        report.characterization.replay_rounds +
+                        report.evaluation.replay_rounds;
+  report.total_bytes = report.detection.bytes_used +
+                       report.characterization.bytes_replayed +
+                       report.evaluation.bytes_replayed;
+  report.total_virtual_minutes = (report.detection.virtual_seconds +
+                                  report.characterization.virtual_seconds +
+                                  report.evaluation.virtual_seconds) /
+                                 60.0;
   return report;
 }
 
-std::unique_ptr<Technique> Liberate::instantiate(
-    const std::string& name) const {
-  auto suite = build_full_suite();
-  for (auto& t : suite) {
-    if (t->name() == name) return std::move(t);
-  }
-  return nullptr;
-}
-
-TechniqueContext deployment_context(const SessionReport& report) {
-  TechniqueContext ctx;
-  ctx.matching_snippets = report.characterization.snippets();
-  ctx.decoy_payload = decoy_request_payload();
-  if (report.characterization.middlebox_hops) {
-    ctx.middlebox_ttl =
-        static_cast<std::uint8_t>(*report.characterization.middlebox_hops);
-  }
-  return ctx;
-}
+Liberate::Liberate(dpi::Environment& env, std::uint64_t seed)
+    : env_(env), runner_(env, seed) {}
 
 std::unique_ptr<Deployment> Liberate::deploy(const SessionReport& report,
                                              netsim::NetworkPort& inner) const {
@@ -93,14 +92,16 @@ ReadaptResult Liberate::readapt(const SessionReport& previous,
     result.report = analyze(trace);
     end_stage("full-analysis");
   } else {
-    // Replay with the previously working technique: if differentiation
-    // reappears, the rules changed — redo characterization and evaluation.
+    // Replay with the previously working technique: unless it still evades
+    // — the same verdict evaluation gives — the rules changed, so redo
+    // characterization and evaluation.
     ReplayOptions opts;
     opts.technique = technique.get();
     opts.context = deployment_context(previous);
     ReplayOutcome outcome = runner_.run(trace, opts);
     end_stage("still-working");
-    if (!runner_.differentiated(outcome) && outcome.completed) {
+    if (!runner_.differentiated(outcome) && outcome.completed &&
+        outcome.payload_intact) {
       result.still_working = true;  // still evading fine
       result.report = previous;
     } else {

@@ -56,10 +56,15 @@ struct ReadaptResult {
   std::vector<ReadaptStageCost> ladder;
 };
 
-/// The TechniqueContext a deployment derives from an analysis: matching
-/// snippets, decoy payload, and the localized middlebox TTL. Shared by
-/// Liberate::deploy and the deployment control plane.
-TechniqueContext deployment_context(const SessionReport& report);
+/// Phases 1–3 end to end on any executor: detection, then (when the policy
+/// keys on content) characterization and evaluation.
+SessionReport analyze(ProbeExecutor& executor,
+                      const trace::ApplicationTrace& trace);
+
+/// The TechniqueContext a deployment derives from an analysis.
+inline TechniqueContext deployment_context(const SessionReport& report) {
+  return technique_context(report.characterization);
+}
 
 /// A deployed evasion: an EvasionShim bound to the selected technique, ready
 /// to wrap a live application's NetworkPort (library/transparent-proxy
@@ -100,8 +105,11 @@ class Liberate {
  public:
   explicit Liberate(dpi::Environment& env, std::uint64_t seed = 1);
 
-  /// Run phases 1–3 for an application's recorded trace.
-  SessionReport analyze(const trace::ApplicationTrace& trace);
+  /// Run phases 1–3 for an application's recorded trace on this facade's
+  /// shared world.
+  SessionReport analyze(const trace::ApplicationTrace& trace) {
+    return core::analyze(runner_, trace);
+  }
 
   /// Build a deployment for live traffic from an analysis result. Returns
   /// nullptr when no technique worked (or none was needed).
@@ -110,7 +118,8 @@ class Liberate {
 
   /// Runtime adaptation (§4.2 "lib·erate must run the characterization step
   /// whenever an application's classification rule changes"): re-test with
-  /// the previously selected technique; if differentiation reappeared,
+  /// the previously selected technique; unless it still evades (no
+  /// differentiation, a complete exchange and an intact payload),
   /// re-analyze from scratch. `still_working` distinguishes the cheap path;
   /// either way `report` carries the cost actually spent (the verification
   /// round alone, or verification + full re-analysis).
@@ -119,7 +128,9 @@ class Liberate {
 
   /// Build a technique instance by suite name (nullptr if unknown). Public
   /// so the deployment control plane can walk cached technique rankings.
-  std::unique_ptr<Technique> instantiate(const std::string& name) const;
+  std::unique_ptr<Technique> instantiate(const std::string& name) const {
+    return make_technique(name);
+  }
 
   ReplayRunner& runner() { return runner_; }
 

@@ -1,50 +1,34 @@
-// parallel_analysis.h — the lib·erate phases as batched scheduler waves.
-//
-// Mirrors detection (§4.1), characterization (§4.2/§5.1) and evasion
-// evaluation (§4.3) on top of the RoundScheduler: every independent replay
-// round of a phase is submitted as one wave and fans out across the worker
-// pool. The wave structure is fixed by the inputs alone (never by worker
-// count, completion order or the wall clock), so a serial scheduler, a
-// 2-worker pool and an 8-worker pool produce byte-identical reports —
-// tests/core/parallel_replay_test.cc holds this invariant.
-//
-// Where the sequential code early-exits a linear scan (prepend ceilings,
-// TTL sweeps), the parallel version probes speculatively in fixed-size
-// waves and takes the first qualifying probe in submission order: same
-// answer, a handful of extra (parallel) rounds, a fraction of the
-// wall-clock time.
+// parallel_analysis.h — retired names for the analysis phases on a
+// RoundScheduler. Each phase is written once against ProbeExecutor
+// (core/liberate.h); these forwards keep older callers compiling.
 #pragma once
 
-#include "core/characterization.h"
-#include "core/evaluation.h"
 #include "core/liberate.h"
 #include "core/round_scheduler.h"
 
 namespace liberate::core {
 
-/// Detection (§4.1): the original and the bit-inverted control replay as
-/// one two-round wave (plus the randomization fallback when inversion is
-/// detected). Isolated worlds make the sequential code's careful
-/// control-first ordering irrelevant: neither round can poison the other.
-DetectionResult detect_differentiation_parallel(
-    RoundScheduler& scheduler, const trace::ApplicationTrace& trace);
+inline DetectionResult detect_differentiation_parallel(
+    RoundScheduler& scheduler, const trace::ApplicationTrace& trace) {
+  return detect_differentiation(scheduler, trace);
+}
 
-/// Characterization (§4.2, §5.1): port sensitivity, breadth-first blinding
-/// waves, speculative prepend and TTL waves. Same report fields as the
-/// sequential characterize_classifier.
-CharacterizationReport characterize_classifier_parallel(
+inline CharacterizationReport characterize_classifier_parallel(
     RoundScheduler& scheduler, const trace::ApplicationTrace& trace,
-    const CharacterizationOptions& options = {});
+    const CharacterizationOptions& options = {}) {
+  return characterize_classifier(scheduler, trace, options);
+}
 
-/// Evasion evaluation (§4.3): the whole (pruned, ordered) technique suite
-/// as a single wave — the biggest fan-out in the pipeline (26 techniques).
-EvaluationResult evaluate_parallel(RoundScheduler& scheduler,
-                                   const CharacterizationReport& report,
-                                   const trace::ApplicationTrace& trace,
-                                   bool run_pruned = false);
+inline EvaluationResult evaluate_parallel(RoundScheduler& scheduler,
+                                          const CharacterizationReport& report,
+                                          const trace::ApplicationTrace& trace,
+                                          bool run_pruned = false) {
+  return evaluate_suite(scheduler, report, trace, run_pruned);
+}
 
-/// Phases 1–3 end to end — the parallel counterpart of Liberate::analyze().
-SessionReport analyze_parallel(RoundScheduler& scheduler,
-                               const trace::ApplicationTrace& trace);
+inline SessionReport analyze_parallel(RoundScheduler& scheduler,
+                                      const trace::ApplicationTrace& trace) {
+  return analyze(scheduler, trace);
+}
 
 }  // namespace liberate::core

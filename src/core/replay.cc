@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 
+#include "core/evasion/registry.h"
 #include "obs/obs.h"
 
 namespace liberate::core {
@@ -132,6 +133,40 @@ ReplayOutcome ReplayRunner::run(const ApplicationTrace& trace,
     return run_tcp(trace, options);
   }
   return run_udp(trace, options);
+}
+
+RoundResult ReplayRunner::run(const RoundRequest& request) {
+  ReplayOptions opts;
+  if (!request.technique.empty()) {
+    retired_techniques_.push_back(make_technique(request.technique));
+    opts.technique = retired_techniques_.back().get();
+  }
+  opts.context = request.context;
+  opts.server_port_override = request.server_port_override;
+  opts.server_ip_override = request.server_ip_override;
+  opts.match_packet_ttl = request.match_packet_ttl;
+  opts.pause_before_match_s = request.pause_before_match_s;
+  opts.pause_after_match_s = request.pause_after_match_s;
+  opts.timeout = static_cast<netsim::Duration>(request.timeout_s * 1e6);
+
+  const TimePoint start = env_.loop.now();
+  RoundResult result;
+  result.outcome = run(request.trace, opts);
+  result.differentiated = differentiated(result.outcome);
+  result.virtual_seconds = netsim::to_seconds(env_.loop.now() - start);
+  result.bytes_offered = request.trace.total_bytes();
+  return result;
+}
+
+std::vector<RoundResult> ReplayRunner::run_batch(
+    const std::vector<RoundRequest>& wave, const Stop& stop) {
+  std::vector<RoundResult> results;
+  results.reserve(wave.size());
+  for (const RoundRequest& request : wave) {
+    results.push_back(run(request));
+    if (stop && stop(results.size() - 1, results.back())) break;
+  }
+  return results;
 }
 
 ReplayOutcome ReplayRunner::run_tcp(const ApplicationTrace& trace,

@@ -7,10 +7,19 @@
 // data-usage counter (zero rating, with realistic lag/noise), the raw
 // crafted-packet tap at the server (Table 3's RS? column), and the
 // classifier's own log (testbed direct signal).
+//
+// The analysis phases (detection, characterization, evaluation) never talk
+// to a runner directly: they submit RoundRequest waves to a ProbeExecutor.
+// ReplayRunner is the shared-world executor (every round lands in one
+// environment, so state such as the GFC's endpoint escalation carries
+// across rounds); RoundScheduler (core/round_scheduler.h) is the
+// isolated-world executor (a fresh world per round, fanned out on a pool).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/evasion/shim.h"
@@ -59,12 +68,91 @@ struct ReplayOutcome {
   std::vector<dpi::ClassificationEvent> classifications;  // this round only
 };
 
-class ReplayRunner {
+/// One replay round: a (possibly mutated) trace plus the replay knobs of
+/// ReplayOptions, with the technique carried by name so the request is a
+/// plain value that can cross threads and be fingerprinted.
+struct RoundRequest {
+  trace::ApplicationTrace trace;
+  /// Registry name of the evasion technique to apply ("" = none).
+  std::string technique;
+  TechniqueContext context;
+  std::uint16_t server_port_override = 0;
+  std::uint32_t server_ip_override = 0;
+  std::optional<std::uint8_t> match_packet_ttl;
+  double pause_before_match_s = 0;
+  double pause_after_match_s = 0;
+  double timeout_s = 60;
+};
+
+struct RoundResult {
+  ReplayOutcome outcome;
+  /// The environment's differentiation oracle, evaluated in-world (the
+  /// direct signal needs the live classifier state, which dies with an
+  /// isolated world).
+  bool differentiated = false;
+  /// Virtual seconds this round consumed (excluding warm-up).
+  double virtual_seconds = 0;
+  std::uint64_t bytes_offered = 0;
+  bool from_cache = false;
+};
+
+/// Where the analysis phases send their probe rounds.
+class ProbeExecutor {
+ public:
+  /// stop(index, result): true when the rounds after `index` are moot.
+  using Stop = std::function<bool(std::size_t, const RoundResult&)>;
+
+  ProbeExecutor() = default;
+  ProbeExecutor(const ProbeExecutor&) = delete;
+  ProbeExecutor& operator=(const ProbeExecutor&) = delete;
+  virtual ~ProbeExecutor() = default;
+
+  /// Run a wave; results come back in submission order. A shared world
+  /// may stop after the first round where `stop` holds and return only the
+  /// rounds it ran (later rounds would see the state earlier ones left
+  /// behind, and the caller's linear scan ends there anyway); an isolated
+  /// world may run the whole wave speculatively. A phase must reach the
+  /// same answer from either, reading only up to the first stopping round.
+  virtual std::vector<RoundResult> run_batch(
+      const std::vector<RoundRequest>& wave, const Stop& stop = {}) = 0;
+
+  /// How the environment reports differentiation (zero-rating probes need
+  /// client bulk after the matching message for the counter to move).
+  virtual dpi::Environment::Signal signal() const = 0;
+};
+
+/// Per-phase cost accounting over executed rounds: logical rounds (cache
+/// hits included — a memoized probe still answers one logical round),
+/// offered bytes and summed per-round virtual time.
+struct ProbeCost {
+  int rounds = 0;
+  std::uint64_t bytes = 0;
+  double virtual_seconds = 0;
+
+  void add(const std::vector<RoundResult>& results) {
+    for (const RoundResult& r : results) {
+      rounds += 1;
+      bytes += r.bytes_offered;
+      virtual_seconds += r.virtual_seconds;
+    }
+  }
+};
+
+/// The shared-world executor: every round replays in the one environment
+/// the runner was built on, in submission order.
+class ReplayRunner : public ProbeExecutor {
  public:
   explicit ReplayRunner(dpi::Environment& env, std::uint64_t seed = 1);
 
   ReplayOutcome run(const trace::ApplicationTrace& trace,
                     const ReplayOptions& options = {});
+  /// The one translation from a RoundRequest to ReplayOptions (isolated
+  /// worlds run their single round through it too).
+  RoundResult run(const RoundRequest& request);
+
+  std::vector<RoundResult> run_batch(const std::vector<RoundRequest>& wave,
+                                     const Stop& stop = {}) override;
+  dpi::Environment::Signal signal() const override { return env_.signal; }
 
   /// The differentiation oracle: did this round experience the environment's
   /// policy? (Per-signal semantics; see DESIGN.md.)
@@ -95,6 +183,9 @@ class ReplayRunner {
   // retired here and reclaimed with the runner.
   std::vector<std::unique_ptr<stack::Host>> retired_hosts_;
   std::vector<std::unique_ptr<EvasionShim>> retired_shims_;
+  // Techniques built from a RoundRequest's name: a retired shim still
+  // points at its technique.
+  std::vector<std::unique_ptr<Technique>> retired_techniques_;
 };
 
 }  // namespace liberate::core

@@ -1,8 +1,9 @@
 #include "core/round_scheduler.h"
 
+#include <future>
+#include <unordered_map>
 #include <utility>
 
-#include "core/evasion/registry.h"
 #include "dpi/profiles.h"
 #include "obs/obs.h"
 
@@ -112,34 +113,7 @@ RoundResult run_isolated_round(const WorldSpec& spec, const RoundRequest& req,
   LIBERATE_PROV_SCOPE(id.lo);
 
   ReplayRunner runner(*env, derive_seed(spec.seed, id, 0x5EED));
-
-  std::unique_ptr<Technique> technique;
-  if (!req.technique.empty()) {
-    for (auto& t : build_full_suite()) {
-      if (t->name() == req.technique) {
-        technique = std::move(t);
-        break;
-      }
-    }
-  }
-
-  ReplayOptions opts;
-  opts.technique = technique.get();
-  opts.context = req.context;
-  opts.server_port_override = req.server_port_override;
-  opts.server_ip_override = req.server_ip_override;
-  opts.match_packet_ttl = req.match_packet_ttl;
-  opts.pause_before_match_s = req.pause_before_match_s;
-  opts.pause_after_match_s = req.pause_after_match_s;
-  opts.timeout = static_cast<netsim::Duration>(req.timeout_s * 1e6);
-
-  RoundResult result;
-  result.outcome = runner.run(req.trace, opts);
-  result.differentiated = runner.differentiated(result.outcome);
-  result.virtual_seconds =
-      netsim::to_seconds(env->loop.now() - warmup_end);
-  result.bytes_offered = req.trace.total_bytes();
-  return result;
+  return runner.run(req);
 }
 
 std::optional<RoundResult> ProbeCache::get(const Fingerprint& key) {
@@ -192,79 +166,27 @@ RoundResult RoundScheduler::execute(const RoundRequest& req,
                           ? static_cast<std::uint64_t>(
                                 result.virtual_seconds * 1e6)
                           : 0);
-  if (options_.cache_capacity > 0) {
-    cache_.put(key, result);
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_.erase(key);
-  }
+  if (options_.cache_capacity > 0) cache_.put(key, result);
   return result;
 }
 
-std::shared_future<RoundResult> RoundScheduler::submit(RoundRequest req) {
-  const Fingerprint key = round_fingerprint(spec_, req);
-  // A probe is a *submitted* request — cache hits and coalesced duplicates
-  // included, so the ledger shows what memoization saved (probes - rounds).
-  LIBERATE_COST_TICK(kProbes, 1);
-
-  auto ready = [](RoundResult r) {
-    std::promise<RoundResult> p;
-    p.set_value(std::move(r));
-    return p.get_future().share();
-  };
-
-  if (options_.cache_capacity > 0) {
-    if (auto cached = cache_.get(key)) {
-      from_cache_.fetch_add(1);
-      LIBERATE_COUNTER_ADD("core.rounds_from_cache", 1);
-      cached->from_cache = true;
-      return ready(std::move(*cached));
-    }
-    // Coalesce onto an identical round that is already in flight.
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      from_cache_.fetch_add(1);
-      LIBERATE_COUNTER_ADD("core.rounds_coalesced", 1);
-      return it->second;
-    }
-    if (pool_) {
-      // LIBERATE_OBS_PROPAGATE carries the submitting thread's ambient
-      // span/profile/cost context to the worker, so the round nests under
-      // the phase that asked for it in serial and parallel runs alike.
-      auto task = LIBERATE_OBS_PROPAGATE([this, req = std::move(req), key]() {
-        return execute(req, key);
-      });
-      std::shared_future<RoundResult> future =
-          pool_->submit(std::move(task)).share();
-      inflight_[key] = future;
-      return future;
-    }
-  }
-
-  if (pool_) {
-    auto task = LIBERATE_OBS_PROPAGATE([this, req = std::move(req), key]() {
-      return execute(req, key);
-    });
-    return pool_->submit(std::move(task)).share();
-  }
-  return ready(execute(req, key));
-}
-
-RoundResult RoundScheduler::run_one(const RoundRequest& req) {
-  return submit(req).get();
+dpi::Environment::Signal RoundScheduler::signal() const {
+  return dpi::make_environment(spec_.environment, spec_.seed)->signal;
 }
 
 std::vector<RoundResult> RoundScheduler::run_batch(
-    const std::vector<RoundRequest>& reqs) {
+    const std::vector<RoundRequest>& reqs, const Stop& /*stop*/) {
   const std::size_t n = reqs.size();
   std::vector<RoundResult> results(n);
   if (n == 0) return results;
+  // A probe is a *submitted* request — cache hits and coalesced duplicates
+  // included, so the ledger shows what memoization saved (probes - rounds).
   LIBERATE_COST_TICK(kProbes, n);
 
   // Resolve the whole wave up front: fingerprint every request once, answer
   // cache hits immediately, and coalesce in-batch duplicates onto a single
-  // execution (mirroring submit()'s in-flight coalescing — only done when
-  // memoization is on, so cache-off counters stay comparable).
+  // execution (only done when memoization is on, so cache-off counters stay
+  // comparable).
   std::vector<Fingerprint> keys(n);
   std::vector<std::size_t> work;  // indices that actually replay
   work.reserve(n);

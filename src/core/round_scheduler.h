@@ -17,18 +17,16 @@
 // deterministically from (seed, round_id), which makes two things true at
 // once: (a) scheduling order cannot change any outcome, and (b) a repeated
 // probe IS the same round, so memoizing its result is exact — the
-// ProbeCache can answer recursive-blinding re-probes and evaluation re-runs
-// after re-characterization without ever replaying twice.
+// ProbeCache can answer repeated probes and evaluation re-runs after
+// re-characterization without ever replaying twice.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/replay.h"
@@ -55,34 +53,6 @@ struct WorldSpec {
   /// whole analysis pipeline can be exercised over hostile links — still
   /// byte-identical across worker counts.
   netsim::FaultPolicy faults{};
-};
-
-/// One replay round: a (possibly mutated) trace plus the replay knobs of
-/// ReplayOptions, with the technique carried by name so the request is a
-/// plain value that can cross threads and be fingerprinted.
-struct RoundRequest {
-  trace::ApplicationTrace trace;
-  /// Registry name of the evasion technique to apply ("" = none).
-  std::string technique;
-  TechniqueContext context;
-  std::uint16_t server_port_override = 0;
-  std::uint32_t server_ip_override = 0;
-  std::optional<std::uint8_t> match_packet_ttl;
-  double pause_before_match_s = 0;
-  double pause_after_match_s = 0;
-  double timeout_s = 60;
-};
-
-struct RoundResult {
-  ReplayOutcome outcome;
-  /// The environment's differentiation oracle, evaluated in-world (the
-  /// direct signal needs the live classifier state, which dies with the
-  /// world).
-  bool differentiated = false;
-  /// Virtual seconds this round consumed (excluding warm-up).
-  double virtual_seconds = 0;
-  std::uint64_t bytes_offered = 0;
-  bool from_cache = false;
 };
 
 /// Content fingerprint of a round: the memoization key and the round_id
@@ -132,17 +102,19 @@ struct SchedulerOptions {
   std::size_t cache_capacity = 8192;
 };
 
-/// Batched submission front-end: submit() returns a future per round,
-/// run_batch() submits a wave and collects it in submission order.
-/// Identical in-flight rounds are coalesced onto one execution.
-class RoundScheduler {
+/// The isolated-world executor. run_batch() runs a whole wave (it never
+/// stops early: every round is independent, so speculation costs workers,
+/// not correctness) and collects it in submission order. Identical rounds
+/// within a wave are coalesced onto one execution.
+class RoundScheduler : public ProbeExecutor {
  public:
   explicit RoundScheduler(WorldSpec spec, SchedulerOptions options = {});
-  ~RoundScheduler();
+  ~RoundScheduler() override;
 
-  std::shared_future<RoundResult> submit(RoundRequest req);
-  RoundResult run_one(const RoundRequest& req);
-  std::vector<RoundResult> run_batch(const std::vector<RoundRequest>& reqs);
+  std::vector<RoundResult> run_batch(const std::vector<RoundRequest>& reqs,
+                                     const Stop& stop = {}) override;
+  /// Builds one environment from the spec to read its signal.
+  dpi::Environment::Signal signal() const override;
 
   const WorldSpec& world() const { return spec_; }
   std::size_t worker_count() const {
@@ -151,8 +123,8 @@ class RoundScheduler {
 
   /// Rounds that actually replayed (cache misses + uncached).
   std::uint64_t rounds_executed() const { return executed_.load(); }
-  /// Rounds answered from the memo cache (or coalesced onto an in-flight
-  /// duplicate).
+  /// Rounds answered from the memo cache (or coalesced onto a duplicate in
+  /// the same wave).
   std::uint64_t rounds_from_cache() const { return from_cache_.load(); }
   std::uint64_t rounds_submitted() const {
     return rounds_executed() + rounds_from_cache();
@@ -168,12 +140,6 @@ class RoundScheduler {
   ProbeCache cache_;
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> from_cache_{0};
-  // In-flight duplicate coalescing: fingerprint -> the future all duplicate
-  // submissions share until the result lands in the cache.
-  std::mutex inflight_mutex_;
-  std::unordered_map<Fingerprint, std::shared_future<RoundResult>,
-                     Fingerprint::Hasher>
-      inflight_;
 };
 
 }  // namespace liberate::core

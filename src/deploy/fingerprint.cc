@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "core/evasion/registry.h"
 #include "util/json.h"
 #include "util/json_parse.h"
 
@@ -104,13 +103,10 @@ bool get_bool(const JsonValue& v, std::string_view key) {
 }  // namespace
 
 core::TechniqueContext CachedCharacterization::context() const {
-  core::TechniqueContext ctx;
-  for (const auto& f : fields) ctx.matching_snippets.push_back(f.content);
-  ctx.decoy_payload = core::decoy_request_payload();
-  if (middlebox_hops) {
-    ctx.middlebox_ttl = static_cast<std::uint8_t>(*middlebox_hops);
-  }
-  return ctx;
+  core::CharacterizationReport report;
+  report.fields = fields;
+  report.middlebox_hops = middlebox_hops;
+  return core::technique_context(report);
 }
 
 Fingerprint characterization_digest(

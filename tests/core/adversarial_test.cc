@@ -50,6 +50,9 @@ TEST(Adversarial, UnseenServerExposesTheCensor) {
   EXPECT_TRUE(result.differentiation);
   EXPECT_TRUE(result.content_based);
   EXPECT_TRUE(result.needed_unseen_server);
+  // The cost covers the failed attempt from the default server too.
+  EXPECT_EQ(result.rounds, runner.rounds());
+  EXPECT_DOUBLE_EQ(result.virtual_seconds, runner.virtual_seconds_elapsed());
 }
 
 TEST(Adversarial, RobustDetectionOnCleanNetworkStaysNegative) {

@@ -84,13 +84,20 @@ TEST(DistributedBlinding, MatchesSingleUserFieldsWithSplitCost) {
   auto t = trace::economist_trace();
   dpi::MatchRule rule;
   rule.keywords = {"GET", "economist.com"};
-  auto oracle = [rule](const trace::ApplicationTrace& probe) {
-    for (const auto& m : probe.messages) {
-      if (m.sender != trace::Sender::kClient) continue;
-      if (rule.matches_content(BytesView(m.payload))) return true;
-    }
-    return false;
-  };
+  ClassificationOracle oracle =
+      [rule](const std::vector<trace::ApplicationTrace>& probes) {
+        std::vector<bool> verdicts;
+        for (const auto& probe : probes) {
+          bool classified = false;
+          for (const auto& m : probe.messages) {
+            if (m.sender != trace::Sender::kClient) continue;
+            classified =
+                classified || rule.matches_content(BytesView(m.payload));
+          }
+          verdicts.push_back(classified);
+        }
+        return verdicts;
+      };
 
   BlindingStats solo_stats;
   auto solo = find_matching_fields(t, oracle, &solo_stats, 4);

@@ -10,16 +10,21 @@
 namespace liberate::core {
 namespace {
 
-// A synthetic oracle: "classified" iff a rule matches the concatenated
-// client payload (no network involved) — lets us verify the search logic
-// and count rounds precisely.
+// A synthetic oracle: "classified" iff a rule matches some client message
+// (no network involved) — lets us verify the search logic and count rounds
+// precisely.
 ClassificationOracle oracle_for(dpi::MatchRule rule) {
-  return [rule](const trace::ApplicationTrace& t) {
-    for (const auto& m : t.messages) {
-      if (m.sender != trace::Sender::kClient) continue;
-      if (rule.matches_content(BytesView(m.payload))) return true;
+  return [rule](const std::vector<trace::ApplicationTrace>& probes) {
+    std::vector<bool> verdicts;
+    for (const auto& t : probes) {
+      bool classified = false;
+      for (const auto& m : t.messages) {
+        if (m.sender != trace::Sender::kClient) continue;
+        classified = classified || rule.matches_content(BytesView(m.payload));
+      }
+      verdicts.push_back(classified);
     }
-    return false;
+    return verdicts;
   };
 }
 

@@ -9,7 +9,7 @@
 
 #include <string>
 
-#include "core/parallel_analysis.h"
+#include "core/detection.h"
 #include "core/round_scheduler.h"
 #include "netsim/faulty.h"
 #include "trace/generators.h"
@@ -85,12 +85,12 @@ TEST(FaultyReplay, FaultedPipelineIdenticalAcrossWorkerCounts) {
   WorldSpec spec = faulted_spec(42);
 
   RoundScheduler serial(spec, {.workers = 0});
-  DetectionResult reference = detect_differentiation_parallel(serial, trace);
+  DetectionResult reference = detect_differentiation(serial, trace);
   EXPECT_TRUE(reference.differentiation);  // chaos must not blind detection
 
   for (std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
     RoundScheduler scheduler(spec, {.workers = workers});
-    DetectionResult got = detect_differentiation_parallel(scheduler, trace);
+    DetectionResult got = detect_differentiation(scheduler, trace);
     EXPECT_EQ(got.differentiation, reference.differentiation)
         << "workers=" << workers;
     EXPECT_EQ(got.content_based, reference.content_based)

@@ -141,6 +141,39 @@ TEST(Liberate, ReadaptRecoversFromRuleChange) {
   (void)first_technique;
 }
 
+// A technique that gets the exchange through unclassified but corrupts the
+// payload is not working: evaluation would never have selected it, so
+// readapt must not keep it either. An inert packet that outlives the
+// middlebox (TTL 30) reaches the server and lands in the delivered bytes.
+TEST(Liberate, ReadaptReanalyzesWhenTechniqueCorruptsPayload) {
+  auto env = dpi::make_testbed();
+  Liberate lib(*env);
+  auto t = trace::amazon_video_trace(8 * 1024);
+  SessionReport report = lib.analyze(t);
+  ASSERT_TRUE(report.selected_technique.has_value());
+
+  SessionReport corrupting = report;
+  corrupting.selected_technique = "inert/ip-low-ttl";
+  corrupting.characterization.middlebox_hops = 30;
+  {
+    RoundRequest probe;
+    probe.trace = t;
+    probe.technique = *corrupting.selected_technique;
+    probe.context = deployment_context(corrupting);
+    RoundResult r = lib.runner().run(probe);
+    ASSERT_TRUE(r.outcome.completed);
+    ASSERT_FALSE(r.differentiated);
+    ASSERT_FALSE(r.outcome.payload_intact);
+  }
+
+  ReadaptResult verdict = lib.readapt(corrupting, t);
+  EXPECT_FALSE(verdict.still_working);
+  ASSERT_EQ(verdict.ladder.size(), 2u);
+  EXPECT_EQ(verdict.ladder[0].stage, "still-working");
+  EXPECT_EQ(verdict.ladder[1].stage, "full-analysis");
+  EXPECT_EQ(verdict.report.selected_technique, report.selected_technique);
+}
+
 TEST(Liberate, UdpSkypeOnTestbed) {
   auto env = dpi::make_testbed();
   Liberate lib(*env);

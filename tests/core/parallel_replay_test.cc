@@ -7,10 +7,11 @@
 // verdicts and round counts for the full blinding + evaluation pipeline,
 // across multiple seeds and environments; caching must change replay counts
 // only, never results.
-#include "core/parallel_analysis.h"
+#include "core/liberate.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -75,8 +76,8 @@ AnalysisSummary run_pipeline(RoundScheduler& scheduler,
   CharacterizationOptions copts;
   copts.unique_port_per_round = true;
   CharacterizationReport report =
-      characterize_classifier_parallel(scheduler, trace, copts);
-  EvaluationResult evaluation = evaluate_parallel(scheduler, report, trace);
+      characterize_classifier(scheduler, trace, copts);
+  EvaluationResult evaluation = evaluate_suite(scheduler, report, trace);
   AnalysisSummary s;
   s.fields = summarize_fields(report);
   s.verdicts = summarize_verdicts(evaluation);
@@ -241,8 +242,7 @@ TEST(ParallelReplay, ParallelDetectionMatchesSequentialVerdicts) {
     spec.environment = environment;
     RoundScheduler scheduler(spec, {.workers = 2});
     auto trace = trace_for(environment);
-    DetectionResult parallel =
-        detect_differentiation_parallel(scheduler, trace);
+    DetectionResult parallel = detect_differentiation(scheduler, trace);
 
     auto env = dpi::make_environment(environment);
     ReplayRunner runner(*env);
@@ -255,9 +255,9 @@ TEST(ParallelReplay, ParallelDetectionMatchesSequentialVerdicts) {
 }
 
 TEST(ParallelReplay, ParallelBlindingMatchesSequentialFields) {
-  // The kDirect testbed signal is noise-free: the breadth-first parallel
-  // search and the sequential recursive search must find the exact same
-  // matching fields on the exact same trace.
+  // The kDirect testbed signal is noise-free: the blinding search must find
+  // the exact same matching fields in one shared world as in a world per
+  // round.
   auto trace = trace::amazon_video_trace(8 * 1024);
 
   auto env = dpi::make_testbed();
@@ -268,10 +268,66 @@ TEST(ParallelReplay, ParallelBlindingMatchesSequentialFields) {
   WorldSpec spec;
   spec.environment = "testbed";
   RoundScheduler scheduler(spec, {.workers = 8});
-  CharacterizationReport parallel = characterize_classifier_parallel(
+  CharacterizationReport parallel = characterize_classifier(
       scheduler, trace, {.unique_port_per_round = true});
 
   EXPECT_EQ(summarize_fields(sequential), summarize_fields(parallel));
+}
+
+// One pipeline, two executors: a shared world (ReplayRunner, every round in
+// one environment) and isolated worlds (a serial RoundScheduler) must reach
+// the same verdicts with the same detection and evaluation costs.
+// Characterization rounds differ by exactly the isolated side's
+// speculation: the MTU-prepend ladder past the packet limit, and the rest of
+// the TTL wave that found the middlebox.
+TEST(ParallelReplay, SharedAndIsolatedExecutorsAgree) {
+  constexpr int kTtlWave = 8;
+  const CharacterizationOptions defaults;
+  for (const char* environment :
+       {"testbed", "tmus", "gfc", "iran", "att", "sprint"}) {
+    SCOPED_TRACE(environment);
+    const auto trace = trace_for(environment);
+    auto env = dpi::make_environment(environment);
+    ReplayRunner runner(*env);
+    SessionReport shared = analyze(runner, trace);
+
+    WorldSpec spec;
+    spec.environment = environment;
+    RoundScheduler scheduler(spec);
+    SessionReport isolated = analyze(scheduler, trace);
+
+    EXPECT_EQ(shared.detection.differentiation,
+              isolated.detection.differentiation);
+    EXPECT_EQ(shared.detection.content_based, isolated.detection.content_based);
+    EXPECT_EQ(shared.detection.used_randomization_fallback,
+              isolated.detection.used_randomization_fallback);
+    EXPECT_EQ(summarize_fields(shared.characterization),
+              summarize_fields(isolated.characterization));
+    EXPECT_EQ(summarize_verdicts(shared.evaluation),
+              summarize_verdicts(isolated.evaluation));
+    EXPECT_EQ(shared.selected_technique, isolated.selected_technique);
+    EXPECT_EQ(shared.detection.rounds, isolated.detection.rounds);
+    EXPECT_EQ(shared.evaluation.replay_rounds,
+              isolated.evaluation.replay_rounds);
+
+    const CharacterizationReport& c = isolated.characterization;
+    int speculation = 0;
+    if (c.packet_limit) {
+      speculation += static_cast<int>(defaults.max_prepend_packets -
+                                      *c.packet_limit);
+    }
+    if (c.middlebox_hops) {
+      const int wave_end = std::min(
+          (*c.middlebox_hops - 1) / kTtlWave * kTtlWave + kTtlWave,
+          static_cast<int>(defaults.max_ttl_probe));
+      speculation += wave_end - *c.middlebox_hops;
+    }
+    EXPECT_EQ(isolated.characterization.replay_rounds -
+                  shared.characterization.replay_rounds,
+              speculation)
+        << "shared " << shared.characterization.replay_rounds << ", isolated "
+        << c.replay_rounds;
+  }
 }
 
 TEST(ParallelReplay, AnalyzeParallelFullSession) {
@@ -279,7 +335,7 @@ TEST(ParallelReplay, AnalyzeParallelFullSession) {
   spec.environment = "testbed";
   RoundScheduler scheduler(spec, {.workers = 8});
   auto trace = trace_for(spec.environment);
-  SessionReport report = analyze_parallel(scheduler, trace);
+  SessionReport report = analyze(scheduler, trace);
   EXPECT_TRUE(report.detection.content_based);
   EXPECT_TRUE(report.ran_characterization);
   EXPECT_TRUE(report.selected_technique.has_value());

@@ -5,7 +5,6 @@
 // span-parent regression for work-stealing wave chunks: a round executed by
 // a pool worker nests under the span that submitted the batch, never under
 // whatever happens to be open on that worker, and never at the root.
-#include "core/parallel_analysis.h"
 
 #include <gtest/gtest.h>
 
@@ -72,7 +71,7 @@ std::string analyze_and_sign(std::size_t workers, dpi::MatchBackend backend) {
   CostLedger::instance().reset();
   RoundScheduler scheduler(WorldSpec{},
                            {.workers = workers, .cache_capacity = 8192});
-  analyze_parallel(scheduler, trace::make_skype_trace({}));
+  analyze(scheduler, trace::make_skype_trace({}));
   return obs_signature();
 }
 
