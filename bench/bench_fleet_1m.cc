@@ -7,8 +7,8 @@
 //  * snapshot-delta compression: counter entries shipped to the merge point
 //    vs. what dense full-report merging would have shipped;
 //  * the merge-equivalence matrix at reduced size: delta-merged reports must
-//    be byte-identical to a full-merge baseline across {serial, 2, 8}
-//    workers x {reference, compiled} match backends.
+//    be byte-identical to the serial compiled-backend run across
+//    {serial, 2, 8} workers x {reference, compiled} match backends.
 //
 // Default is 1M flows (~8 GB-scale traffic through the simulated path); CI
 // smoke runs `--flows 65536`. Mixed traffic: every 4th flow uploads the
@@ -148,28 +148,27 @@ int main(int argc, char** argv) {
   }
 
   // Merge-equivalence matrix, reduced size so it stays cheap at any obs
-  // level: a delta-merged report must be byte-identical to the dense
-  // full-merge baseline for every worker count and match backend.
+  // level: a delta-merged report must be byte-identical to the serial
+  // compiled-backend run for every worker count and match backend.
   bench::print_header("delta-merge equivalence matrix (reduced size)");
   {
-    auto run_with = [&](MergeMode mode, std::size_t w) {
+    auto run_with = [&](std::size_t w) {
       reset_obs();
       FleetOptions opts = packet_options(4, 64, 3);
       opts.workers = w;
-      opts.merge_mode = mode;
       opts.max_flows_per_shim = 1 << 14;
       FleetEngine engine(opts);
       const FleetReport r = engine.run(trace);
       return r.summary() + r.telemetry_json;
     };
     dpi::set_match_backend(dpi::MatchBackend::kCompiled);
-    const std::string baseline = run_with(MergeMode::kFull, 0);
+    const std::string baseline = run_with(0);
     bool identical = true;
     for (auto backend :
          {dpi::MatchBackend::kReference, dpi::MatchBackend::kCompiled}) {
       dpi::set_match_backend(backend);
       for (std::size_t w : {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
-        const bool same = run_with(MergeMode::kDelta, w) == baseline;
+        const bool same = run_with(w) == baseline;
         identical = identical && same;
         std::printf("  backend=%s workers=%zu  %s\n",
                     backend == dpi::MatchBackend::kReference ? "reference"

@@ -169,16 +169,15 @@ void BM_ObsCounterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsCounterAdd);
 
-void BM_ObsHistogramObserve(benchmark::State& state) {
-  double v = 0;
+void BM_ObsHdrRecord(benchmark::State& state) {
+  std::uint64_t v = 0;
   for (auto _ : state) {
-    LIBERATE_HISTOGRAM_OBSERVE("bench.histogram_observe",
-                               ({0.001, 0.01, 0.1, 1, 10}), v);
-    v += 0.25;
-    if (v > 16) v = 0;
+    LIBERATE_HDR_RECORD("bench.hdr_record", v);
+    v += 250;
+    if (v > 16000) v = 0;
   }
 }
-BENCHMARK(BM_ObsHistogramObserve);
+BENCHMARK(BM_ObsHdrRecord);
 
 }  // namespace
 

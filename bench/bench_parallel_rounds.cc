@@ -135,7 +135,7 @@ int main() {
 
     // Fold the observability snapshot into the JSON artifact: the same
     // story (executed vs cached, per-round latency) as told by the obs
-    // layer's own counters/histograms. At LIBERATE_OBS_LEVEL=0 these
+    // layer's own counters and HDR histogram. At LIBERATE_OBS_LEVEL=0 these
     // counters are absent and the metrics below report zero.
     obs::Snapshot snap = obs::capture();
     std::uint64_t obs_executed = 0, obs_cached = 0;
@@ -155,10 +155,11 @@ int main() {
                     ? 0.0
                     : static_cast<double>(obs_executed + obs_cached) /
                           total_analysis_wall);
-    for (const auto& [name, h] : snap.metrics.histograms) {
-      if (name != "core.round_virtual_seconds") continue;
+    for (const auto& [name, h] : snap.metrics.hdr_histograms) {
+      if (name != "core.round_latency_us") continue;
       json.metric("round_virtual_seconds_count", h.count);
-      json.metric("round_virtual_seconds_sum", h.sum);
+      json.metric("round_virtual_seconds_sum",
+                  static_cast<double>(h.sum) / 1e6);
     }
     std::printf(
         "pass 1 is all misses; passes 2-3 re-ask every probe and the cache\n"

@@ -9,7 +9,7 @@
 //
 // Runs the four-phase pipeline against the chosen simulated network and
 // prints a machine-greppable report, including the per-phase cost and a
-// pcap of the evasion round's wire traffic (written next to the binary).
+// pcapng of the evasion round's wire traffic (written under examples/out/).
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -17,7 +17,7 @@
 
 #include "core/liberate.h"
 #include "trace/generators.h"
-#include "trace/pcap.h"
+#include "trace/pcapng.h"
 #include "util/strings.h"
 
 using namespace liberate;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.total_bytes),
               report.total_virtual_minutes);
 
-  // Capture one evaded exchange as a pcap for wireshark/tcpdump inspection.
+  // Capture one evaded exchange as a pcapng for wireshark/tcpdump inspection.
   if (report.selected_technique && env->pre_middlebox_tap != nullptr) {
     env->pre_middlebox_tap->clear();
     core::RoundRequest evasion;
@@ -122,15 +122,15 @@ int main(int argc, char** argv) {
     evasion.context = core::technique_context(c);
     if (!c.port_sensitive) evasion.server_port_override = 36000;
     (void)lib.runner().run(evasion);
-    Bytes pcap = trace::tap_to_pcap(*env->pre_middlebox_tap);
+    Bytes capture = trace::tap_to_pcapng(*env->pre_middlebox_tap);
     // Artifacts go under examples/out/ (gitignored), never the repo root.
     std::filesystem::create_directories("examples/out");
     std::string path = std::string("examples/out/liberate_") + argv[1] + "_" +
-                       argv[2] + "_evasion.pcap";
+                       argv[2] + "_evasion.pcapng";
     std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(pcap.data()),
-              static_cast<std::streamsize>(pcap.size()));
-    std::printf("pcap=%s packets=%zu\n", path.c_str(),
+    out.write(reinterpret_cast<const char*>(capture.data()),
+              static_cast<std::streamsize>(capture.size()));
+    std::printf("pcapng=%s packets=%zu\n", path.c_str(),
                 env->pre_middlebox_tap->seen().size());
   }
   return 0;

@@ -152,7 +152,7 @@ std::string report_json(const FleetReport& report) {
       w.key("probe_flows")
           .value(static_cast<std::uint64_t>(wave.readapt_probe_flows));
       w.key("ladder").begin_array();
-      for (const core::ReadaptStageCost& s : wave.readapt_ladder) {
+      for (const deploy::ReadaptStageCost& s : wave.readapt_ladder) {
         w.begin_object();
         w.key("stage").value(s.stage);
         w.key("rounds").value(s.rounds);

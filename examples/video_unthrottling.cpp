@@ -4,10 +4,12 @@
 // Binge On both zero-rates and throttles classified video. Evading
 // classification trades the zero-rating away for full-rate delivery — the
 // paper's 1.48 -> 4.1 Mbps headline. This example also flips the classifier
-// rules mid-session and shows lib·erate's readapt() recovering.
+// rules mid-session and shows the re-adaptation ladder
+// (deploy::incremental_readapt) recovering.
 #include <cstdio>
 
 #include "core/liberate.h"
+#include "deploy/recharacterize.h"
 #include "trace/generators.h"
 #include "util/strings.h"
 
@@ -72,15 +74,18 @@ int main() {
     harder.flush_flow_on_rst = false;
     env->dpi->engine().set_config(harder);
   }
-  auto verdict = lib.readapt(report, app);
-  if (verdict.still_working) {
+  auto verdict = deploy::incremental_readapt(
+      lib, app, deploy::make_cached_characterization(env->name, app.app_name,
+                                                     report),
+      nullptr);
+  if (verdict.path == deploy::ReadaptPath::kStillWorking) {
     std::printf("old technique still works (%d verification round)\n",
                 verdict.report.total_rounds);
   } else {
     const auto& fresh = verdict.report;
-    std::printf("rule change detected; re-characterized (%d rounds). "
-                "new fields:\n",
-                fresh.total_rounds);
+    std::printf("rule change detected; re-adapted via %s (%d rounds). "
+                "fields:\n",
+                deploy::readapt_path_name(verdict.path), fresh.total_rounds);
     for (const auto& f : fresh.characterization.fields) {
       std::printf("  \"%s\"\n", printable(BytesView(f.content), 44).c_str());
     }

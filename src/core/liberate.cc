@@ -59,7 +59,7 @@ SessionReport analyze(ProbeExecutor& executor,
 }
 
 Liberate::Liberate(dpi::Environment& env, std::uint64_t seed)
-    : env_(env), runner_(env, seed) {}
+    : runner_(env, seed) {}
 
 std::unique_ptr<Deployment> Liberate::deploy(const SessionReport& report,
                                              netsim::NetworkPort& inner) const {
@@ -68,55 +68,6 @@ std::unique_ptr<Deployment> Liberate::deploy(const SessionReport& report,
   if (!technique) return nullptr;
   return std::make_unique<Deployment>(inner, std::move(technique),
                                       deployment_context(report));
-}
-
-ReadaptResult Liberate::readapt(const SessionReport& previous,
-                                const trace::ApplicationTrace& trace) {
-  LIBERATE_COST_SCOPE(kReadapt);
-  const int rounds0 = runner_.rounds();
-  const std::uint64_t bytes0 = runner_.bytes_offered();
-  const double t0 = runner_.virtual_seconds_elapsed();
-
-  ReadaptResult result;
-  // Stage intervals partition [rounds0, rounds()] so the ladder always sums
-  // to the report's total_rounds.
-  int stage_start = rounds0;
-  auto end_stage = [&](const char* stage) {
-    result.ladder.push_back({stage, runner_.rounds() - stage_start});
-    stage_start = runner_.rounds();
-  };
-  auto technique = previous.selected_technique
-                       ? instantiate(*previous.selected_technique)
-                       : nullptr;
-  if (!technique) {
-    result.report = analyze(trace);
-    end_stage("full-analysis");
-  } else {
-    // Replay with the previously working technique: unless it still evades
-    // — the same verdict evaluation gives — the rules changed, so redo
-    // characterization and evaluation.
-    ReplayOptions opts;
-    opts.technique = technique.get();
-    opts.context = deployment_context(previous);
-    ReplayOutcome outcome = runner_.run(trace, opts);
-    end_stage("still-working");
-    if (!runner_.differentiated(outcome) && outcome.completed &&
-        outcome.payload_intact) {
-      result.still_working = true;  // still evading fine
-      result.report = previous;
-    } else {
-      result.report = analyze(trace);
-      end_stage("full-analysis");
-    }
-  }
-
-  // Cost accounting covers everything readapt spent: the verification round
-  // plus (when taken) the full re-analysis.
-  result.report.total_rounds = runner_.rounds() - rounds0;
-  result.report.total_bytes = runner_.bytes_offered() - bytes0;
-  result.report.total_virtual_minutes =
-      (runner_.virtual_seconds_elapsed() - t0) / 60.0;
-  return result;
 }
 
 }  // namespace liberate::core

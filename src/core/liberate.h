@@ -5,14 +5,14 @@
 //                         the middlebox?
 //   3. evasion eval     — which techniques defeat it, at what cost?
 //   4. deployment       — wrap live traffic in the cheapest working
-//                         technique, re-running 1–3 when the classifier
-//                         changes (runtime adaptation).
+//                         technique; re-adapting when the classifier
+//                         changes is deploy::incremental_readapt
+//                         (deploy/recharacterize.h).
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/detection.h"
 #include "core/evaluation.h"
@@ -30,30 +30,6 @@ struct SessionReport {
   int total_rounds = 0;
   std::uint64_t total_bytes = 0;
   double total_virtual_minutes = 0;
-};
-
-/// One stage of a runtime-adaptation ladder and the probe rounds it spent.
-/// Stages appear in execution order; their rounds always sum to the
-/// enclosing report's total_rounds (each replay the adaptation ran is
-/// inside exactly one stage interval). Plain data, present at every obs
-/// level — cost attribution is part of the result, not telemetry.
-struct ReadaptStageCost {
-  std::string stage;
-  int rounds = 0;
-};
-
-/// Outcome of runtime adaptation. Unlike the old optional<SessionReport>
-/// (where "still works" lost the probe cost spent finding that out),
-/// `report` always carries cost accounting for what readapt actually did:
-/// the verification replay alone on the cheap path, verification plus the
-/// full re-analysis otherwise.
-struct ReadaptResult {
-  /// True when the previously selected technique still evades; `report` is
-  /// then the previous report with totals replaced by the verification cost.
-  bool still_working = false;
-  SessionReport report;
-  /// Per-stage round breakdown; sums to report.total_rounds.
-  std::vector<ReadaptStageCost> ladder;
 };
 
 /// Phases 1–3 end to end on any executor: detection, then (when the policy
@@ -116,16 +92,6 @@ class Liberate {
   std::unique_ptr<Deployment> deploy(const SessionReport& report,
                                      netsim::NetworkPort& inner) const;
 
-  /// Runtime adaptation (§4.2 "lib·erate must run the characterization step
-  /// whenever an application's classification rule changes"): re-test with
-  /// the previously selected technique; unless it still evades (no
-  /// differentiation, a complete exchange and an intact payload),
-  /// re-analyze from scratch. `still_working` distinguishes the cheap path;
-  /// either way `report` carries the cost actually spent (the verification
-  /// round alone, or verification + full re-analysis).
-  ReadaptResult readapt(const SessionReport& previous,
-                        const trace::ApplicationTrace& trace);
-
   /// Build a technique instance by suite name (nullptr if unknown). Public
   /// so the deployment control plane can walk cached technique rankings.
   std::unique_ptr<Technique> instantiate(const std::string& name) const {
@@ -135,7 +101,6 @@ class Liberate {
   ReplayRunner& runner() { return runner_; }
 
  private:
-  dpi::Environment& env_;
   ReplayRunner runner_;
 };
 

@@ -6,88 +6,6 @@
 namespace liberate::core {
 
 namespace {
-constexpr char kMagic[4] = {'L', 'C', 'R', '1'};  // Liberate Char. Report v1
-}
-
-Bytes serialize_report(const CharacterizationReport& report) {
-  ByteWriter w;
-  w.raw(BytesView(reinterpret_cast<const std::uint8_t*>(kMagic), 4));
-
-  std::uint8_t flags = 0;
-  if (report.position_sensitive) flags |= 1;
-  if (report.inspects_all_packets) flags |= 2;
-  if (report.port_sensitive) flags |= 4;
-  if (report.packet_limit) flags |= 8;
-  if (report.middlebox_hops) flags |= 16;
-  w.u8(flags);
-  w.u32(static_cast<std::uint32_t>(report.packet_limit.value_or(0)));
-  w.u32(static_cast<std::uint32_t>(report.middlebox_hops.value_or(0)));
-  w.u32(static_cast<std::uint32_t>(report.replay_rounds));
-  w.u32(static_cast<std::uint32_t>(report.bytes_replayed));
-  w.u32(static_cast<std::uint32_t>(report.virtual_seconds));
-
-  w.u16(static_cast<std::uint16_t>(report.fields.size()));
-  for (const auto& f : report.fields) {
-    w.u16(static_cast<std::uint16_t>(f.message_index));
-    w.u32(static_cast<std::uint32_t>(f.offset));
-    w.u32(static_cast<std::uint32_t>(f.length));
-    w.u16(static_cast<std::uint16_t>(f.content.size()));
-    w.raw(f.content);
-  }
-  return std::move(w).take();
-}
-
-Result<CharacterizationReport> deserialize_report(BytesView data) {
-  ByteReader r(data);
-  auto magic = r.raw(4);
-  if (!magic.ok() || to_string(magic.value()) != "LCR1") {
-    return Error("report_io: bad magic");
-  }
-  CharacterizationReport report;
-  auto flags = r.u8();
-  auto limit = r.u32();
-  auto hops = r.u32();
-  auto rounds = r.u32();
-  auto bytes = r.u32();
-  auto seconds = r.u32();
-  if (!flags.ok() || !limit.ok() || !hops.ok() || !rounds.ok() ||
-      !bytes.ok() || !seconds.ok()) {
-    return Error("report_io: truncated header");
-  }
-  report.position_sensitive = flags.value() & 1;
-  report.inspects_all_packets = flags.value() & 2;
-  report.port_sensitive = flags.value() & 4;
-  if (flags.value() & 8) report.packet_limit = limit.value();
-  if (flags.value() & 16) {
-    report.middlebox_hops = static_cast<int>(hops.value());
-  }
-  report.replay_rounds = static_cast<int>(rounds.value());
-  report.bytes_replayed = bytes.value();
-  report.virtual_seconds = seconds.value();
-
-  auto count = r.u16();
-  if (!count.ok()) return Error("report_io: truncated field count");
-  for (std::uint16_t i = 0; i < count.value(); ++i) {
-    MatchingField f;
-    auto msg = r.u16();
-    auto off = r.u32();
-    auto len = r.u32();
-    auto content_len = r.u16();
-    if (!msg.ok() || !off.ok() || !len.ok() || !content_len.ok()) {
-      return Error("report_io: truncated field");
-    }
-    auto content = r.raw(content_len.value());
-    if (!content.ok()) return Error("report_io: truncated field content");
-    f.message_index = msg.value();
-    f.offset = off.value();
-    f.length = len.value();
-    f.content.assign(content.value().begin(), content.value().end());
-    report.fields.push_back(std::move(f));
-  }
-  return report;
-}
-
-namespace {
 
 std::string hex_of(const Bytes& data) {
   static const char* kHex = "0123456789abcdef";

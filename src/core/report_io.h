@@ -1,26 +1,17 @@
-// report_io.h — sharing characterization results between users (§4.2).
+// report_io.h — deterministic JSON rendering of an analysis.
 //
-// "These test results can be stored in a well known public location (e.g.,
-// a server or a DHT) so that all users can identify the matching rules
-// without running additional tests." A CharacterizationReport serializes to
-// a compact binary blob; RuleCache is the public location, keyed by
-// (network, application). The paper's caveat — an adversary who can read
-// the cache learns the detected rules — is the operator's problem, not a
-// confidentiality goal of the format.
+// Sharing a characterization between users (§4.2's "well known public
+// location") goes through deploy::ClassifierFingerprintCache, whose JSON
+// entries carry the rule digest and the ambiguity fingerprint; this header
+// only renders finished analyses for reports and diffs.
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
 
-#include "core/characterization.h"
 #include "core/liberate.h"
 #include "obs/snapshot.h"
 
 namespace liberate::core {
-
-Bytes serialize_report(const CharacterizationReport& report);
-Result<CharacterizationReport> deserialize_report(BytesView data);
 
 /// Deterministic JSON rendering of a full analysis (detection +
 /// characterization + evaluation + cost accounting). The output depends only
@@ -34,39 +25,5 @@ std::string analysis_report_json(const SessionReport& report);
 /// compared independently.
 std::string analysis_report_json(const SessionReport& report,
                                  const obs::Snapshot& telemetry);
-
-/// The "well-known public location": any user can publish an analysis and
-/// any other user can adopt it, skipping the (10–35 minute) one-time cost.
-class RuleCache {
- public:
-  void publish(const std::string& network, const std::string& app,
-               const CharacterizationReport& report) {
-    store_[key(network, app)] = serialize_report(report);
-  }
-
-  std::optional<CharacterizationReport> lookup(const std::string& network,
-                                               const std::string& app) const {
-    auto it = store_.find(key(network, app));
-    if (it == store_.end()) return std::nullopt;
-    auto parsed = deserialize_report(it->second);
-    if (!parsed.ok()) return std::nullopt;
-    return std::move(parsed).value();
-  }
-
-  std::size_t entries() const { return store_.size(); }
-  /// Wire size of one published entry (the paper's sharing-cost argument).
-  std::optional<std::size_t> entry_bytes(const std::string& network,
-                                         const std::string& app) const {
-    auto it = store_.find(key(network, app));
-    if (it == store_.end()) return std::nullopt;
-    return it->second.size();
-  }
-
- private:
-  static std::string key(const std::string& network, const std::string& app) {
-    return network + "\x1f" + app;
-  }
-  std::map<std::string, Bytes> store_;
-};
 
 }  // namespace liberate::core

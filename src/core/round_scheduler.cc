@@ -156,11 +156,7 @@ RoundResult RoundScheduler::execute(const RoundRequest& req,
   RoundResult result = run_isolated_round(spec_, req, key);
   executed_.fetch_add(1);
   LIBERATE_COUNTER_ADD("core.rounds_executed", 1);
-  LIBERATE_HISTOGRAM_OBSERVE("core.round_virtual_seconds",
-                             ({0.5, 1, 2, 5, 10, 30, 60, 120, 300}),
-                             result.virtual_seconds);
-  // HDR twin of the fixed-bucket histogram above: full-resolution virtual
-  // latency quantiles without having to guess bounds.
+  // Virtual (sim-clock) round latency: count, sum and quantiles.
   LIBERATE_HDR_RECORD("core.round_latency_us",
                       result.virtual_seconds > 0
                           ? static_cast<std::uint64_t>(

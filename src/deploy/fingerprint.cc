@@ -1,6 +1,7 @@
 #include "deploy/fingerprint.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -102,11 +103,19 @@ bool get_bool(const JsonValue& v, std::string_view key) {
 
 }  // namespace
 
-core::TechniqueContext CachedCharacterization::context() const {
+core::CharacterizationReport CachedCharacterization::characterization() const {
   core::CharacterizationReport report;
   report.fields = fields;
+  report.position_sensitive = position_sensitive;
+  report.inspects_all_packets = inspects_all_packets;
+  report.port_sensitive = port_sensitive;
+  report.packet_limit = packet_limit;
   report.middlebox_hops = middlebox_hops;
-  return core::technique_context(report);
+  return report;
+}
+
+core::TechniqueContext CachedCharacterization::context() const {
+  return core::technique_context(characterization());
 }
 
 Fingerprint characterization_digest(
@@ -331,6 +340,9 @@ std::optional<ClassifierFingerprintCache> ClassifierFingerprintCache::from_json(
       r.extra_packets = *extra_packets;
       r.extra_bytes = *extra_bytes;
       r.extra_seconds = get_number(rv, "extra_seconds").value_or(0);
+      // JsonWriter writes magnitudes past 1e308 (and inf) as null, which
+      // would reload as 0: a loaded cache must re-serialize to itself.
+      if (!(std::fabs(r.extra_seconds) <= 1e308)) return std::nullopt;
       entry.ranking.push_back(std::move(r));
     }
     if (const JsonValue* amb = e.find("ambiguity");
@@ -338,6 +350,9 @@ std::optional<ClassifierFingerprintCache> ClassifierFingerprintCache::from_json(
       auto digest = fingerprint::AmbiguityDigest::from_json_value(*amb);
       if (!digest) return std::nullopt;
       entry.ambiguity = std::move(*digest);
+    }
+    if (characterization_digest(entry.characterization()) != entry.digest) {
+      return std::nullopt;
     }
     cache.store(std::move(entry));
   }

@@ -56,6 +56,8 @@ struct CachedCharacterization {
   /// nearest-behaving known implementation.
   std::optional<fingerprint::AmbiguityDigest> ambiguity;
 
+  /// The entry's fields and quirks as a report: what `digest` covers.
+  core::CharacterizationReport characterization() const;
   /// The TechniqueContext a shim needs to deploy against this classifier.
   core::TechniqueContext context() const;
 };
@@ -80,7 +82,10 @@ CachedCharacterization make_cached_characterization(
 /// Schema v2: the top level carries a "digest_format" field naming the
 /// ambiguity-digest revision entries were probed with. from_json rejects v1
 /// files and format mismatches outright — a pre-ambiguity cache degrades to
-/// a cold start instead of poisoning nearest-fingerprint matching.
+/// a cold start instead of poisoning nearest-fingerprint matching. It also
+/// rejects any entry whose fields and quirks no longer hash to its stored
+/// digest: the file is the §4.2 sharing format, so entries arrive from
+/// other users.
 class ClassifierFingerprintCache {
  public:
   static constexpr int kSchemaVersion = 2;

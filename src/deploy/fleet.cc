@@ -190,17 +190,6 @@ FleetDelta FleetEngine::run_wave(Shard& shard, const ApplicationTrace& trace,
       obs::fv("differentiated",
               static_cast<std::uint64_t>(stats.differentiated)));
 
-  if (options_.merge_mode == MergeMode::kFull) {
-    FleetDelta dense;
-    dense.shard = static_cast<std::uint32_t>(shard.index);
-    dense.wave = static_cast<std::uint32_t>(wave);
-    dense.changed.reserve(kShardCounterCount);
-    for (std::size_t slot = 0; slot < kShardCounterCount; ++slot) {
-      dense.changed.emplace_back(static_cast<std::uint8_t>(slot),
-                                 shard.counters.v[slot]);
-    }
-    return dense;
-  }
   return shard.publisher.publish(static_cast<std::uint32_t>(shard.index),
                                  static_cast<std::uint32_t>(wave),
                                  shard.counters);
@@ -506,9 +495,9 @@ FleetReport FleetEngine::run(const ApplicationTrace& trace) {
     }
   }
 
-  // The merge point. Both merge modes flow through it: kDelta applies the
-  // sparse publishes, kFull the dense blocks — reconstructed wave stats are
-  // byte-identical by construction, which fleet_test pins.
+  // The merge point: shard publishes are sparse deltas, and the merger
+  // reconstructs per-wave stats from the cumulative stream exactly
+  // (delta_test pins this against dense publishes).
   DeltaMerger merger(shards_.size());
   const std::size_t wave_total = options_.flows_per_wave * shards_.size();
 

@@ -39,18 +39,6 @@ namespace liberate::deploy {
 
 struct FleetWaveReport;
 
-/// How shard wave results reach the control thread's merge point.
-enum class MergeMode {
-  /// Each shard publishes a sparse snapshot delta (only the cumulative
-  /// counters that moved); the control thread reconstructs per-wave stats
-  /// with a DeltaMerger. The production path.
-  kDelta,
-  /// Each shard ships its full cumulative counter block every wave. Same
-  /// reconstruction, dense payload — the differential baseline the delta
-  /// path must match byte-for-byte.
-  kFull,
-};
-
 /// How a shard turns a wave of flows into packets.
 enum class FlowMode {
   /// One stack::TcpConnection per flow (full endpoint fidelity). Right up
@@ -76,7 +64,6 @@ struct FleetOptions {
   std::size_t flows_per_wave = 8;
   std::size_t waves = 6;
 
-  MergeMode merge_mode = MergeMode::kDelta;
   FlowMode flow_mode = FlowMode::kFullStack;
   /// Packet-level mode: max payload bytes per crafted segment.
   std::size_t packet_segment_bytes = 512;
@@ -154,7 +141,7 @@ struct FleetWaveReport {
   /// and its per-ladder-stage breakdown (sums to readapt_rounds). Plain
   /// data at every obs level — it shapes the FLEET summary.
   int readapt_rounds = 0;
-  std::vector<core::ReadaptStageCost> readapt_ladder;
+  std::vector<ReadaptStageCost> readapt_ladder;
   /// Ambiguity probe flows the readapt's fingerprint-verify stage spent
   /// (isolated worlds — never replay rounds).
   std::size_t readapt_probe_flows = 0;
@@ -237,7 +224,7 @@ class FleetEngine {
   struct Shard;
 
   /// Drive one shard's wave (`admitted` flows) and return its wave-boundary
-  /// counter publish: sparse in kDelta mode, the full block in kFull mode.
+  /// counter publish: a sparse delta of the cumulative counters that moved.
   /// Runs on a worker thread; touches only the shard's own state.
   FleetDelta run_wave(Shard& shard, const trace::ApplicationTrace& trace,
                       std::size_t wave, std::size_t admitted,

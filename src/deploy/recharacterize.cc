@@ -16,12 +16,7 @@ core::SessionReport report_from_cached(const CachedCharacterization& cached,
   report.detection.differentiation = true;
   report.detection.content_based = true;
   report.ran_characterization = true;
-  report.characterization.fields = cached.fields;
-  report.characterization.position_sensitive = cached.position_sensitive;
-  report.characterization.inspects_all_packets = cached.inspects_all_packets;
-  report.characterization.port_sensitive = cached.port_sensitive;
-  report.characterization.packet_limit = cached.packet_limit;
-  report.characterization.middlebox_hops = cached.middlebox_hops;
+  report.characterization = cached.characterization();
   if (!technique.empty()) report.selected_technique = technique;
   return report;
 }
@@ -94,9 +89,7 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
     result.report.total_virtual_minutes =
         (runner.virtual_seconds_elapsed() - t0) / 60.0;
     LIBERATE_COUNTER_ADD("deploy.readapt.total", 1);
-    LIBERATE_HISTOGRAM_OBSERVE("deploy.readapt.rounds",
-                               ({1, 2, 5, 10, 25, 50, 100, 200}),
-                               result.report.total_rounds);
+    LIBERATE_HDR_RECORD("deploy.readapt.rounds", result.report.total_rounds);
     LIBERATE_OBS_EVENT(
         static_cast<std::uint64_t>(runner.virtual_seconds_elapsed() * 1e6),
         "deploy", "readapt", obs::fv("path", readapt_path_name(path)),
@@ -147,11 +140,12 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
     result.probed_ambiguity = probed.digest;
     LIBERATE_COUNTER_ADD("deploy.readapt.ambiguity_probes",
                          probed.probe_flows);
-    auto [match, distance] = cache->nearest_by_ambiguity(
-        probed.digest, cached.app, hooks->max_distance);
+    const CachedCharacterization* match =
+        cache->nearest_by_ambiguity(probed.digest, cached.app,
+                                    hooks->max_distance)
+            .first;
     if (match != nullptr) {
       result.matched_environment = match->environment;
-      result.matched_distance = distance;
       for (const RankedTechnique& rt : match->ranking) {
         if (rt.name == deployed) continue;  // already failed level 1
         auto technique = lib.instantiate(rt.name);
@@ -177,7 +171,6 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
   // Level 4: targeted blinding probes — one per cached field. A field is
   // still a matching field iff blinding it kills classification; any field
   // that stays classified means the rule set changed under us.
-  const int verify_rounds0 = runner.rounds();
   bool fingerprint_ok = true;
   for (const core::MatchingField& field : cached.fields) {
     if (field.message_index >= trace.messages.size()) {
@@ -193,7 +186,6 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
     }
   }
   result.fingerprint_verified = fingerprint_ok && !cached.fields.empty();
-  result.verification_rounds = runner.rounds() - verify_rounds0;
   end_stage("field-verification");
 
   // Level 5: fingerprint held — the rules are the ones we characterized, so
@@ -206,8 +198,6 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
       if (!technique) continue;
       auto v = probe(trace, technique.get());
       if (!v.differentiated && v.completed && v.intact) {
-        result.verification_rounds = runner.rounds() - verify_rounds0;
-        result.verification_bytes = runner.bytes_offered() - bytes0;
         end_stage("ranking-walk");
         return finish(ReadaptPath::kVerifiedCached, cached.ranking[i].name,
                       report_from_cached(cached, cached.ranking[i].name));
@@ -215,7 +205,6 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
     }
     end_stage("ranking-walk");
   }
-  result.verification_bytes = runner.bytes_offered() - bytes0;
 
   // Level 6: the classifier changed beyond the cached knowledge (or every
   // cached technique died). Full analysis, and refresh the cache.

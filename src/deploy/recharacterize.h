@@ -61,6 +61,16 @@ struct ReadaptHooks {
   std::size_t max_distance = 0;
 };
 
+/// One stage of the ladder and the probe rounds it spent. Stages appear in
+/// execution order; their rounds always sum to the enclosing report's
+/// total_rounds (each replay the adaptation ran is inside exactly one stage
+/// interval). Plain data, present at every obs level — cost attribution is
+/// part of the result, not telemetry.
+struct ReadaptStageCost {
+  std::string stage;
+  int rounds = 0;
+};
+
 struct ReadaptOutcome {
   ReadaptPath path = ReadaptPath::kStillWorking;
   /// Working technique after re-adaptation ("" when kPolicyGone or nothing
@@ -74,20 +84,17 @@ struct ReadaptOutcome {
   /// True when the cached matching fields all re-verified (each targeted
   /// blinding probe killed classification).
   bool fingerprint_verified = false;
-  int verification_rounds = 0;
-  std::uint64_t verification_bytes = 0;
   /// Per-stage round breakdown of the ladder walk, in execution order
   /// (still-working, policy-gone, fingerprint-verify, field-verification,
   /// ranking-walk, full-analysis — only stages that ran appear). Rounds
   /// always sum to report.total_rounds.
-  std::vector<core::ReadaptStageCost> ladder;
+  std::vector<ReadaptStageCost> ladder;
 
   /// Fingerprint-verify stage results (set only when hooks ran the probes).
   std::size_t probe_flows = 0;
   std::optional<fingerprint::AmbiguityDigest> probed_ambiguity;
   /// Environment name of the matched cache entry ("" = no match).
   std::string matched_environment;
-  std::optional<std::size_t> matched_distance;
 };
 
 /// Re-adapt against the live environment behind `lib` using the cached

@@ -1,9 +1,11 @@
-// faulty.h — adversarial fault-injection path element.
+// faulty.h — the fault-injection path element.
 //
-// Where LossyElement/JitterElement model benign path imperfection, FaultyLink
-// models an actively hostile (or badly broken) segment: policy-driven loss,
-// duplication, truncation, bit corruption, reordering and jitter, all drawn
-// from one explicitly seeded Rng. Because every draw happens in packet
+// FaultyLink models benign path imperfection (a policy with only `loss` or
+// `max_jitter` set) and an actively hostile or badly broken segment alike:
+// policy-driven loss, duplication, truncation, bit corruption, reordering
+// and jitter, all drawn from one explicitly seeded Rng. A fault whose
+// probability is zero draws nothing, so a single-fault policy spends
+// exactly one draw per packet. Because every draw happens in packet
 // arrival order on the deterministic event loop, the same seed produces the
 // same fault sequence — and therefore the same delivered byte stream — on
 // every run and under any worker count (each parallel replay round owns an

@@ -1,9 +1,9 @@
 // hdr_histogram.h — log-linear bucketed latency histogram.
 //
-// The fixed-bucket Histogram in metrics.h answers "how many rounds took
-// longer than 5 virtual seconds"; it cannot answer "what is the fleet's
-// p999 flow latency" without hand-tuning bounds per metric. HdrHistogram
-// covers the full uint64 value range with log-linear buckets: values below
+// The registry's histogram type. A fixed-bucket histogram cannot answer
+// "what is the fleet's p999 flow latency" without hand-tuning bounds per
+// metric; HdrHistogram has no bounds to tune. It covers the full uint64
+// value range with log-linear buckets: values below
 // kSubBuckets are recorded exactly, and every power-of-two octave above
 // that is split into kSubBuckets/2 linear sub-buckets, bounding the
 // relative bucket width at 2^-(kSubBucketBits-1) (3.125% here). That is

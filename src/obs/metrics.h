@@ -1,6 +1,6 @@
 // metrics.h — the process-wide metrics registry.
 //
-// Counters, gauges and fixed-bucket histograms, addressed by name. The hot
+// Counters, gauges and HDR histograms, addressed by name. The hot
 // path is a single relaxed atomic add into a per-worker shard (indexed by
 // ThreadPool's stable worker index, padded to a cache line each), so
 // instrumented code never contends on a lock and never serializes workers;
@@ -17,12 +17,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/hdr_histogram.h"
 #include "obs/shard.h"
@@ -88,99 +86,14 @@ class Gauge {
   std::atomic<std::int64_t> high_water_{0};
 };
 
-/// Fixed-bucket histogram. Bucket i counts observations <= bounds[i]; one
-/// overflow bucket catches the rest. The sum is accumulated in integer
-/// microunits (value * 1e6) so concurrent observation totals are exactly
-/// conserved — no floating-point atomics, no lost precision under TSan.
-class Histogram {
- public:
-  static constexpr std::size_t kMaxBuckets = 16;
-
-  explicit Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-    if (bounds_.size() > kMaxBuckets) bounds_.resize(kMaxBuckets);
-  }
-
-  /// Largest magnitude the micro-unit sum accepts per observation. Casting
-  /// a double outside the int64 range is UB, so v * 1e6 is clamped to
-  /// ±9e18 (just inside int64); NaN contributes 0. The clamp only kicks in
-  /// beyond |v| ≈ 9.2e12 — far past any real latency/size — and the bucket
-  /// count is still recorded, so count() stays exact even for absurd values.
-  static constexpr double kSumClampMicrounits = 9.0e18;
-
-  void observe(double v) {
-    Shard& s = shards_[shard_index()];
-    std::size_t b = 0;
-    while (b < bounds_.size() && v > bounds_[b]) ++b;
-    s.counts[b].fetch_add(1, std::memory_order_relaxed);
-    double scaled = v * 1e6;
-    if (scaled != scaled) {
-      scaled = 0;  // NaN: counted, no sum contribution
-    } else if (scaled > kSumClampMicrounits) {
-      scaled = kSumClampMicrounits;
-    } else if (scaled < -kSumClampMicrounits) {
-      scaled = -kSumClampMicrounits;
-    }
-    s.sum_microunits.fetch_add(static_cast<std::int64_t>(scaled),
-                               std::memory_order_relaxed);
-  }
-
-  const std::vector<double>& bounds() const { return bounds_; }
-
-  /// Merged per-bucket counts (bounds().size() + 1 entries, last = overflow).
-  std::vector<std::uint64_t> bucket_counts() const {
-    std::vector<std::uint64_t> merged(bounds_.size() + 1, 0);
-    for (const Shard& s : shards_) {
-      for (std::size_t b = 0; b < merged.size(); ++b) {
-        merged[b] += s.counts[b].load(std::memory_order_relaxed);
-      }
-    }
-    return merged;
-  }
-  std::uint64_t count() const {
-    std::uint64_t n = 0;
-    for (std::uint64_t c : bucket_counts()) n += c;
-    return n;
-  }
-  double sum() const {
-    std::int64_t micro = 0;
-    for (const Shard& s : shards_) {
-      micro += s.sum_microunits.load(std::memory_order_relaxed);
-    }
-    return static_cast<double>(micro) / 1e6;
-  }
-  void reset() {
-    for (Shard& s : shards_) {
-      for (auto& c : s.counts) c.store(0, std::memory_order_relaxed);
-      s.sum_microunits.store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  struct alignas(64) Shard {
-    std::array<std::atomic<std::uint64_t>, kMaxBuckets + 1> counts{};
-    std::atomic<std::int64_t> sum_microunits{0};
-  };
-
-  std::vector<double> bounds_;  // immutable after construction
-  std::array<Shard, kShards> shards_{};
-};
-
 struct GaugeSnapshot {
   std::int64_t value = 0;
   std::int64_t high_water = 0;
 };
 
-struct HistogramSnapshot {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> counts;  // bounds.size() + 1, last = overflow
-  std::uint64_t count = 0;
-  double sum = 0;
-};
-
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, GaugeSnapshot> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
   std::map<std::string, HdrSnapshot> hdr_histograms;
 };
 
@@ -203,15 +116,6 @@ class MetricsRegistry {
     if (!slot) slot = std::make_unique<Gauge>();
     return *slot;
   }
-  /// First registration fixes the bucket bounds; later calls with a
-  /// different list reuse the existing buckets.
-  Histogram& histogram(const std::string& name,
-                       std::initializer_list<double> bounds) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = histograms_[name];
-    if (!slot) slot = std::make_unique<Histogram>(std::vector<double>(bounds));
-    return *slot;
-  }
   /// Log-linear HDR histogram for integer-valued latencies/sizes; no bounds
   /// to choose — every uint64 value has a bucket (hdr_histogram.h).
   HdrHistogram& hdr(const std::string& name) {
@@ -228,14 +132,6 @@ class MetricsRegistry {
     for (const auto& [name, g] : gauges_) {
       snap.gauges[name] = GaugeSnapshot{g->value(), g->high_water()};
     }
-    for (const auto& [name, h] : histograms_) {
-      HistogramSnapshot hs;
-      hs.bounds = h->bounds();
-      hs.counts = h->bucket_counts();
-      for (std::uint64_t c : hs.counts) hs.count += c;
-      hs.sum = h->sum();
-      snap.histograms[name] = std::move(hs);
-    }
     for (const auto& [name, h] : hdrs_) {
       snap.hdr_histograms[name] = h->snapshot();
     }
@@ -248,7 +144,6 @@ class MetricsRegistry {
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto& [name, c] : counters_) c->reset();
     for (auto& [name, g] : gauges_) g->reset();
-    for (auto& [name, h] : histograms_) h->reset();
     for (auto& [name, h] : hdrs_) h->reset();
   }
 
@@ -258,7 +153,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<HdrHistogram>> hdrs_;
 };
 

@@ -3,8 +3,7 @@
 //
 //   LIBERATE_COUNTER_ADD("dpi.classifications", 1);
 //   LIBERATE_GAUGE_SET("util.pool_queue_depth", depth);
-//   LIBERATE_HISTOGRAM_OBSERVE("core.round_virtual_seconds",
-//                              ({0.5, 1, 2, 5}), seconds);
+//   LIBERATE_HDR_RECORD("core.round_latency_us", micros);
 //   LIBERATE_OBS_SPAN("core.round", [&] { return loop.now(); });
 //   LIBERATE_OBS_EVENT(now_us, "dpi", "classified",
 //                      liberate::obs::fv("class", name));
@@ -14,9 +13,6 @@
 // registry is touched, no atomics exist in the emitted code. The metric
 // handle lookup is a function-local static, so the name -> metric map is
 // consulted once per site, not once per call.
-//
-// Histogram bounds are written as a parenthesized brace list — the extra
-// parens keep the commas inside one macro argument.
 #pragma once
 
 #include "obs/level.h"
@@ -57,15 +53,6 @@
     static ::liberate::obs::Gauge& liberate_obs_g =                           \
         ::liberate::obs::MetricsRegistry::instance().gauge(name);             \
     liberate_obs_g.add(static_cast<std::int64_t>(v));                         \
-  } while (0)
-
-/// `bounds` is a parenthesized brace list: (({0.5, 1, 5})).
-#define LIBERATE_HISTOGRAM_OBSERVE(name, bounds, v)                           \
-  do {                                                                        \
-    static ::liberate::obs::Histogram& liberate_obs_h =                       \
-        ::liberate::obs::MetricsRegistry::instance().histogram(               \
-            name, std::initializer_list<double> bounds);                      \
-    liberate_obs_h.observe(static_cast<double>(v));                           \
   } while (0)
 
 /// HDR latency histogram: no bounds to pick — every uint64 value has a
@@ -132,9 +119,6 @@
   } while (0)
 #define LIBERATE_GAUGE_ADD(name, v) \
   do {                              \
-  } while (0)
-#define LIBERATE_HISTOGRAM_OBSERVE(name, bounds, v) \
-  do {                                              \
   } while (0)
 #define LIBERATE_HDR_RECORD(name, v) \
   do {                               \

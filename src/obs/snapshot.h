@@ -5,8 +5,8 @@
 // diff. Two export formats:
 //
 //   * to_prometheus_text() — the Prometheus text exposition format
-//     (counters, gauges + _high_water, histograms as cumulative _bucket
-//     series), ready for a scrape endpoint or a textfile collector.
+//     (counters, gauges + _high_water, HDR histograms as quantile
+//     summaries), ready for a scrape endpoint or a textfile collector.
 //   * write_json()/to_json() — the JSON telemetry block carried by analysis
 //     reports (core/report_io) and the BENCH_*.json files.
 #pragma once
@@ -79,24 +79,6 @@ inline std::string to_prometheus_text(const MetricsSnapshot& m) {
     out += p + " " + std::to_string(g.value) + "\n";
     out += p + "_high_water " + std::to_string(g.high_water) + "\n";
   }
-  for (const auto& [name, h] : m.histograms) {
-    std::string p = prometheus_name(name);
-    out += "# TYPE " + p + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      cumulative += h.counts[b];
-      if (b < h.bounds.size()) {
-        std::snprintf(buf, sizeof(buf), "%g", h.bounds[b]);
-        out += p + "_bucket{le=\"" + buf + "\"} " +
-               std::to_string(cumulative) + "\n";
-      } else {
-        out += p + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) + "\n";
-      }
-    }
-    std::snprintf(buf, sizeof(buf), "%.6f", h.sum);
-    out += p + "_sum " + std::string(buf) + "\n";
-    out += p + "_count " + std::to_string(h.count) + "\n";
-  }
   // HDR histograms export as Prometheus summaries: exact mergeable counts
   // collapse to the standard quantile series (values are the deterministic
   // bucket midpoints, so scrapes of identical runs are identical).
@@ -134,21 +116,6 @@ inline void write_json(JsonWriter& w, const Snapshot& snap,
     w.key(name).begin_object();
     w.key("value").value(g.value);
     w.key("high_water").value(g.high_water);
-    w.end_object();
-  }
-  w.end_object();
-
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : snap.metrics.histograms) {
-    w.key(name).begin_object();
-    w.key("bounds").begin_array();
-    for (double b : h.bounds) w.value(b);
-    w.end_array();
-    w.key("counts").begin_array();
-    for (std::uint64_t c : h.counts) w.value(c);
-    w.end_array();
-    w.key("count").value(h.count);
-    w.key("sum").value(h.sum);
     w.end_object();
   }
   w.end_object();

@@ -5,7 +5,7 @@ namespace liberate::trace {
 namespace {
 
 // pcapng blocks are written in the writer's native byte order, announced by
-// the byte-order magic; we always emit little-endian, matching pcap.cc.
+// the byte-order magic; we always emit little-endian.
 void le16(Bytes& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -172,6 +172,16 @@ Result<std::vector<PcapngRecord>> read_pcapng(BytesView data) {
   }
   if (off != data.size()) return Error("pcapng: trailing garbage");
   return records;
+}
+
+Bytes tap_to_pcapng(const netsim::TapElement& tap) {
+  std::vector<PcapngRecord> records;
+  records.reserve(tap.seen().size());
+  for (const auto& seen : tap.seen()) {
+    records.push_back(PcapngRecord{
+        seen.at, Bytes(seen.datagram.begin(), seen.datagram.end()), ""});
+  }
+  return write_pcapng(records);
 }
 
 }  // namespace liberate::trace

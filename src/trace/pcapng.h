@@ -1,19 +1,21 @@
 // pcapng.h — pcapng (pcap next generation) export/import with per-packet
-// comments.
+// comments: the library's capture format.
 //
-// The classic pcap format (trace/pcap.h) has no per-packet metadata, so a
-// capture can show *what* crossed the wire but not *why*. pcapng Enhanced
-// Packet Blocks carry an opt_comment option; the provenance flight recorder
-// uses it to annotate every packet with its lineage and verdict ("split of
-// 77bb.. by split/tcp-segmentation; rule testbed-http-video matched"), and
-// Wireshark renders the comment right in the packet list. Link type is
-// LINKTYPE_RAW like the pcap writer: each record is one IPv4 datagram, and
-// timestamps are virtual-simulation microseconds.
+// Lets wire captures from TapElements be inspected with standard tooling
+// (tcpdump/wireshark) and round-trip within the library for tests. Unlike
+// classic pcap, pcapng Enhanced Packet Blocks carry an opt_comment option,
+// so a capture can show *why* a packet crossed the wire as well as *what*:
+// the provenance flight recorder annotates every packet with its lineage
+// and verdict ("split of 77bb.. by split/tcp-segmentation; rule
+// testbed-http-video matched"), and Wireshark renders the comment right in
+// the packet list. Link type is LINKTYPE_RAW: each record is one IPv4
+// datagram, and timestamps are virtual-simulation microseconds.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "netsim/network.h"
 #include "netsim/simclock.h"
 #include "util/bytes.h"
 #include "util/result.h"
@@ -35,5 +37,8 @@ Bytes write_pcapng(const std::vector<PcapngRecord>& records);
 /// single-section pcapng whose EPBs reference interface 0); unknown block
 /// types are skipped, per the spec.
 Result<std::vector<PcapngRecord>> read_pcapng(BytesView data);
+
+/// Everything a tap saw, as an uncommented pcapng stream.
+Bytes tap_to_pcapng(const netsim::TapElement& tap);
 
 }  // namespace liberate::trace

@@ -1,5 +1,6 @@
-// End-to-end facade tests: the four automated phases against each
-// environment, plus runtime adaptation and live deployment.
+// End-to-end facade tests: the automated phases against each environment,
+// plus live deployment. Runtime adaptation is tested with its ladder in
+// tests/deploy/recharacterize_test.cc.
 #include "core/liberate.h"
 
 #include <gtest/gtest.h>
@@ -83,95 +84,6 @@ TEST(Liberate, IranSelectsSplitting) {
       report.selected_technique->find("split/") != std::string::npos ||
       report.selected_technique->find("reorder/") != std::string::npos;
   EXPECT_TRUE(split_family) << *report.selected_technique;
-}
-
-TEST(Liberate, ReadaptDoesNothingWhileRulesHold) {
-  auto env = dpi::make_testbed();
-  Liberate lib(*env);
-  auto t = trace::amazon_video_trace(32 * 1024);
-  auto report = lib.analyze(t);
-  ASSERT_TRUE(report.selected_technique.has_value());
-  auto verdict = lib.readapt(report, t);
-  EXPECT_TRUE(verdict.still_working);
-  // The cheap path still accounts for the probe cost it spent: exactly one
-  // verification replay, not the dozens a full analysis takes.
-  EXPECT_EQ(verdict.report.total_rounds, 1);
-  EXPECT_GT(verdict.report.total_bytes, 0u);
-  EXPECT_LT(verdict.report.total_rounds, report.total_rounds);
-  // The selection itself is preserved from the previous report.
-  EXPECT_EQ(verdict.report.selected_technique, report.selected_technique);
-}
-
-TEST(Liberate, ReadaptRecoversFromRuleChange) {
-  auto env = dpi::make_testbed();
-  Liberate lib(*env);
-  auto t = trace::amazon_video_trace(32 * 1024);
-  auto report = lib.analyze(t);
-  ASSERT_TRUE(report.selected_technique.has_value());
-  const std::string first_technique = *report.selected_technique;
-
-  // The operator deploys a countermeasure: the rule now matches the SERVER
-  // response's Content-Type instead of the client request — the deployed
-  // client-side packet transform no longer touches the matching bytes.
-  {
-    auto rules = env->dpi->engine().rules();
-    for (auto& r : rules) {
-      if (r.name == "testbed-http-video") {
-        r.keywords = {"Content-Type: video/mp4"};
-      }
-    }
-    env->dpi->engine().set_rules(rules);
-  }
-
-  auto verdict = lib.readapt(report, t);
-  EXPECT_FALSE(verdict.still_working);
-  const SessionReport& fresh = verdict.report;
-  ASSERT_TRUE(fresh.selected_technique.has_value());
-  // Totals fold the failed verification replay into the re-analysis cost.
-  EXPECT_GT(fresh.total_rounds, 10);
-  // The new analysis found the new matching field, in the server's message.
-  std::string fields;
-  bool in_server_message = false;
-  for (const auto& f : fresh.characterization.fields) {
-    fields += to_string(BytesView(f.content)) + "|";
-    if (f.message_index == 1) in_server_message = true;
-  }
-  EXPECT_NE(fields.find("video/mp4"), std::string::npos);
-  EXPECT_TRUE(in_server_message);
-  (void)first_technique;
-}
-
-// A technique that gets the exchange through unclassified but corrupts the
-// payload is not working: evaluation would never have selected it, so
-// readapt must not keep it either. An inert packet that outlives the
-// middlebox (TTL 30) reaches the server and lands in the delivered bytes.
-TEST(Liberate, ReadaptReanalyzesWhenTechniqueCorruptsPayload) {
-  auto env = dpi::make_testbed();
-  Liberate lib(*env);
-  auto t = trace::amazon_video_trace(8 * 1024);
-  SessionReport report = lib.analyze(t);
-  ASSERT_TRUE(report.selected_technique.has_value());
-
-  SessionReport corrupting = report;
-  corrupting.selected_technique = "inert/ip-low-ttl";
-  corrupting.characterization.middlebox_hops = 30;
-  {
-    RoundRequest probe;
-    probe.trace = t;
-    probe.technique = *corrupting.selected_technique;
-    probe.context = deployment_context(corrupting);
-    RoundResult r = lib.runner().run(probe);
-    ASSERT_TRUE(r.outcome.completed);
-    ASSERT_FALSE(r.differentiated);
-    ASSERT_FALSE(r.outcome.payload_intact);
-  }
-
-  ReadaptResult verdict = lib.readapt(corrupting, t);
-  EXPECT_FALSE(verdict.still_working);
-  ASSERT_EQ(verdict.ladder.size(), 2u);
-  EXPECT_EQ(verdict.ladder[0].stage, "still-working");
-  EXPECT_EQ(verdict.ladder[1].stage, "full-analysis");
-  EXPECT_EQ(verdict.report.selected_technique, report.selected_technique);
 }
 
 TEST(Liberate, UdpSkypeOnTestbed) {

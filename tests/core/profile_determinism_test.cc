@@ -14,8 +14,6 @@
 #include "core/liberate.h"
 #include "core/round_scheduler.h"
 #include "dpi/match_program.h"
-#include "dpi/normalizer.h"
-#include "dpi/profiles.h"
 #include "obs/level.h"
 #include "obs/prof/cost_ledger.h"
 #include "obs/prof/export.h"
@@ -149,39 +147,6 @@ TEST(ProfileDeterminism, SpanParentNestingSurvivesWaveChunkStealing) {
     EXPECT_EQ(rounds_seen, 4) << "workers=" << workers;
   }
 #endif
-}
-
-/// Acceptance criterion: the readapt ladder's stage rounds always sum to
-/// the report's total round count, on the cheap path and the full one.
-TEST(ReadaptLadder, StageRoundsSumToTotalRounds) {
-  auto env = dpi::make_testbed();
-  Liberate lib(*env);
-  const trace::ApplicationTrace trace = trace::amazon_video_trace(8 * 1024);
-  SessionReport analysis = lib.analyze(trace);
-  ASSERT_TRUE(analysis.selected_technique.has_value());
-
-  // Nothing changed: the verification round alone, one ladder stage.
-  ReadaptResult cheap = lib.readapt(analysis, trace);
-  EXPECT_TRUE(cheap.still_working);
-  ASSERT_EQ(cheap.ladder.size(), 1u);
-  EXPECT_EQ(cheap.ladder.front().stage, "still-working");
-  EXPECT_EQ(cheap.ladder.front().rounds, cheap.report.total_rounds);
-
-  // Countermeasure: a reassembling normalizer kills fragment evasion, so
-  // readapt falls through to the full re-analysis.
-  dpi::NormalizerConfig cfg;
-  cfg.reassemble_fragments = true;
-  env->net.emplace_at<dpi::NormalizerElement>(0, cfg);
-  ReadaptResult full = lib.readapt(analysis, trace);
-  ASSERT_GE(full.ladder.size(), 2u);
-  EXPECT_EQ(full.ladder.front().stage, "still-working");
-  EXPECT_EQ(full.ladder.back().stage, "full-analysis");
-  int sum = 0;
-  for (const ReadaptStageCost& stage : full.ladder) {
-    EXPECT_GE(stage.rounds, 0);
-    sum += stage.rounds;
-  }
-  EXPECT_EQ(sum, full.report.total_rounds);
 }
 
 }  // namespace

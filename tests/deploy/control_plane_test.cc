@@ -1,13 +1,17 @@
 // Control-plane unit tests: drift hysteresis, the adaptation state machine's
-// legal edge set, and the fingerprint cache's JSON persistence.
+// legal edge set, and the fingerprint cache's JSON persistence — the §4.2
+// format users share characterizations in.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <limits>
 
+#include "core/evasion/split.h"
 #include "deploy/drift.h"
 #include "deploy/fingerprint.h"
 #include "deploy/policy.h"
+#include "dpi/profiles.h"
+#include "trace/generators.h"
 
 namespace liberate::deploy {
 namespace {
@@ -140,11 +144,17 @@ TEST(AdaptationPolicy, DescribeRendersOneLinePerEdge) {
             "suspect->deployed@4 cleared\n");
 }
 
+// Entries must hash to their digest to load, so a test that edits an
+// entry's fields or quirks re-seals it before storing.
+CachedCharacterization sealed(CachedCharacterization e) {
+  e.digest = characterization_digest(e.characterization());
+  return e;
+}
+
 CachedCharacterization sample_entry() {
   CachedCharacterization e;
   e.environment = "testbed";
   e.app = "AmazonPrimeVideo";
-  e.digest = Fingerprint{0x0123456789abcdefull, 0xfedcba9876543210ull};
   core::MatchingField f;
   f.message_index = 0;
   f.offset = 4;
@@ -158,7 +168,7 @@ CachedCharacterization sample_entry() {
   e.middlebox_hops = 1;
   e.ranking.push_back({"reorder/ip-fragments-out-of-order", 1, 20, 0.0});
   e.ranking.push_back({"split/tcp-segmentation", 9, 360, 0.25});
-  return e;
+  return sealed(std::move(e));
 }
 
 TEST(FingerprintCache, JsonRoundTripPreservesEverything) {
@@ -170,8 +180,7 @@ TEST(FingerprintCache, JsonRoundTripPreservesEverything) {
   const CachedCharacterization* e =
       parsed->lookup("testbed", "AmazonPrimeVideo");
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->digest.lo, 0x0123456789abcdefull);
-  EXPECT_EQ(e->digest.hi, 0xfedcba9876543210ull);
+  EXPECT_EQ(e->digest, sample_entry().digest);
   ASSERT_EQ(e->fields.size(), 1u);
   EXPECT_EQ(e->fields[0].message_index, 0u);
   EXPECT_EQ(e->fields[0].offset, 4u);
@@ -196,7 +205,7 @@ TEST(FingerprintCache, NulloptOptionalsRoundTrip) {
   e.packet_limit.reset();
   e.middlebox_hops.reset();
   ClassifierFingerprintCache cache;
-  cache.store(e);
+  cache.store(sealed(e));
   auto parsed = ClassifierFingerprintCache::from_json(cache.to_json());
   ASSERT_TRUE(parsed.has_value());
   const CachedCharacterization* got =
@@ -247,7 +256,99 @@ TEST(FingerprintCache, RejectsOutOfRangeIntegers) {
     for (const char* bad : {"1e300", "-1", "2.5", "18446744073709551616"}) {
       EXPECT_FALSE(load_with(member, bad).has_value()) << member << bad;
     }
+  }
+  // The ranking costs are outside the digest, so editing the text is enough.
+  for (const char* member : {"\"extra_packets\":9", "\"extra_bytes\":360"}) {
     EXPECT_TRUE(load_with(member, "4294967296").has_value()) << member;
+  }
+  // The digest covers the quirks and fields: write 2^32 with a matching
+  // digest and check it survives the round trip.
+  constexpr std::size_t k2to32 = std::size_t{1} << 32;
+  auto round_trips = [](const CachedCharacterization& e) {
+    ClassifierFingerprintCache big;
+    big.store(sealed(e));
+    auto parsed = ClassifierFingerprintCache::from_json(big.to_json());
+    return parsed.has_value() &&
+           parsed->lookup("testbed", "AmazonPrimeVideo") != nullptr;
+  };
+  CachedCharacterization e = sample_entry();
+  e.packet_limit = k2to32;
+  EXPECT_TRUE(round_trips(e)) << "packet_limit";
+  e = sample_entry();
+  e.fields[0].message_index = k2to32;
+  EXPECT_TRUE(round_trips(e)) << "message";
+  e = sample_entry();
+  e.fields[0].offset = k2to32;
+  EXPECT_TRUE(round_trips(e)) << "offset";
+  e = sample_entry();
+  e.fields[0].length = k2to32;
+  EXPECT_TRUE(round_trips(e)) << "length";
+}
+
+// A shared entry whose fields no longer hash to its digest was edited or
+// corrupted in transit: deploying it would target bytes the classifier never
+// sees, so the whole file is rejected.
+TEST(FingerprintCache, RejectsEntryWhoseFieldsDisagreeWithItsDigest) {
+  CachedCharacterization e = sample_entry();
+  e.environment = "gfc";
+  e.app = "Economist";
+  e.fields[0].content = to_bytes("economist.com");
+  e.fields[0].length = e.fields[0].content.size();
+  ClassifierFingerprintCache cache;
+  cache.store(sealed(e));
+  const std::string ok = cache.to_json();
+  ASSERT_TRUE(ClassifierFingerprintCache::from_json(ok).has_value());
+
+  // Flip one hex digit of the field to another valid digit: 'e' (0x65)
+  // becomes 'd' (0x64), so the field reads "dconomist.com".
+  std::string flipped = ok;
+  const std::size_t at = flipped.find("65636f6e6f6d6973742e636f6d");
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(flipped[at + 1], '5');
+  flipped[at + 1] = '4';
+  EXPECT_FALSE(ClassifierFingerprintCache::from_json(flipped).has_value());
+
+  // A quirk edit is caught the same way.
+  std::string quirk = ok;
+  const std::size_t ps = quirk.find("\"position_sensitive\":true");
+  ASSERT_NE(ps, std::string::npos);
+  quirk.replace(ps, 25, "\"position_sensitive\":false");
+  EXPECT_FALSE(ClassifierFingerprintCache::from_json(quirk).has_value());
+}
+
+// The paper's sharing story end to end (§4.2): user A pays the
+// characterization cost against the censor and publishes a cache entry;
+// user B loads the JSON and goes straight to evasion — zero
+// characterization rounds.
+TEST(FingerprintCache, SecondUserSkipsCharacterization) {
+  const trace::ApplicationTrace app = trace::facebook_trace();
+  std::string published;
+  {
+    auto env = dpi::make_iran();
+    core::ReplayRunner runner(*env);
+    core::SessionReport report;
+    report.characterization = core::characterize_classifier(runner, app);
+    ASSERT_FALSE(report.characterization.fields.empty());
+    ClassifierFingerprintCache cache;
+    cache.store(make_cached_characterization("iran", app.app_name, report));
+    published = cache.to_json();
+  }
+  {
+    auto env = dpi::make_iran();
+    core::ReplayRunner runner(*env);
+    auto cache = ClassifierFingerprintCache::from_json(published);
+    ASSERT_TRUE(cache.has_value());
+    const CachedCharacterization* adopted = cache->lookup("iran", app.app_name);
+    ASSERT_NE(adopted, nullptr);
+    const core::CharacterizationReport characterization =
+        adopted->characterization();
+    const int rounds_before = runner.rounds();
+    core::EvasionEvaluator evaluator(runner, characterization);
+    core::TcpSegmentSplit split(false);
+    auto outcome = evaluator.evaluate_one(split, app);
+    EXPECT_TRUE(outcome.evaded);
+    // Only the single evasion round ran; no blinding, no probing.
+    EXPECT_EQ(runner.rounds() - rounds_before, 1);
   }
 }
 

@@ -120,9 +120,84 @@ TEST(Recharacterize, RuleChangeForcesFullAnalysisAndRefreshesCache) {
   EXPECT_EQ(refreshed->ranking.front().name, out.technique);
 }
 
+// The facade's runtime adaptation, driven the way a deployment drives it:
+// analyze once, cache the result, and hand that entry to the ladder after the
+// operator's countermeasure.
+TEST(Liberate, ReadaptRecoversFromRuleChange) {
+  auto env = dpi::make_testbed();
+  core::Liberate lib(*env);
+  auto t = trace::amazon_video_trace(32 * 1024);
+  core::SessionReport report = lib.analyze(t);
+  ASSERT_TRUE(report.selected_technique.has_value());
+
+  // The operator deploys a countermeasure: the rule now matches the SERVER
+  // response's Content-Type instead of the client request — the deployed
+  // client-side packet transform no longer touches the matching bytes.
+  {
+    auto rules = env->dpi->engine().rules();
+    for (auto& r : rules) {
+      if (r.name == "testbed-http-video") {
+        r.keywords = {"Content-Type: video/mp4"};
+      }
+    }
+    env->dpi->engine().set_rules(rules);
+  }
+
+  ReadaptOutcome verdict = incremental_readapt(
+      lib, t, make_cached_characterization("testbed", t.app_name, report),
+      nullptr);
+  EXPECT_NE(verdict.path, ReadaptPath::kStillWorking);
+  const core::SessionReport& fresh = verdict.report;
+  ASSERT_TRUE(fresh.selected_technique.has_value());
+  // Totals fold the failed verification probes into the re-analysis cost.
+  EXPECT_GT(fresh.total_rounds, 10);
+  // The new analysis found the new matching field, in the server's message.
+  std::string fields;
+  bool in_server_message = false;
+  for (const core::MatchingField& f : fresh.characterization.fields) {
+    fields += to_string(BytesView(f.content)) + "|";
+    if (f.message_index == 1) in_server_message = true;
+  }
+  EXPECT_NE(fields.find("video/mp4"), std::string::npos);
+  EXPECT_TRUE(in_server_message);
+}
+
+// A technique that gets the exchange through unclassified but corrupts the
+// payload is not working: evaluation would never have selected it, so the
+// ladder must not keep it either. An inert packet that outlives the
+// middlebox (TTL 30) reaches the server and lands in the delivered bytes.
+TEST(Recharacterize, ReanalyzesWhenTechniqueCorruptsPayload) {
+  Rig rig;
+  ASSERT_TRUE(rig.analysis.selected_technique.has_value());
+
+  CachedCharacterization corrupting = rig.cached;
+  corrupting.ranking = {RankedTechnique{"inert/ip-low-ttl"}};
+  corrupting.middlebox_hops = 30;
+  corrupting.digest = characterization_digest(corrupting.characterization());
+  {
+    core::RoundRequest probe;
+    probe.trace = rig.trace;
+    probe.technique = "inert/ip-low-ttl";
+    probe.context = corrupting.context();
+    core::RoundResult r = rig.lib.runner().run(probe);
+    ASSERT_TRUE(r.outcome.completed);
+    ASSERT_FALSE(r.differentiated);
+    ASSERT_FALSE(r.outcome.payload_intact);
+  }
+
+  ReadaptOutcome out =
+      incremental_readapt(rig.lib, rig.trace, corrupting, nullptr);
+  EXPECT_EQ(out.path, ReadaptPath::kFullAnalysis);
+  ASSERT_GE(out.ladder.size(), 2u);
+  EXPECT_EQ(out.ladder.front().stage, "still-working");
+  EXPECT_EQ(out.ladder.back().stage, "full-analysis");
+  EXPECT_EQ(out.technique, *rig.analysis.selected_technique);
+  EXPECT_EQ(out.report.selected_technique, rig.analysis.selected_technique);
+}
+
 int ladder_sum(const ReadaptOutcome& out) {
   int sum = 0;
-  for (const core::ReadaptStageCost& stage : out.ladder) sum += stage.rounds;
+  for (const ReadaptStageCost& stage : out.ladder) sum += stage.rounds;
   return sum;
 }
 

@@ -6,7 +6,7 @@
 #include "core/evasion/registry.h"
 #include "core/replay.h"
 #include "dpi/normalizer.h"
-#include "netsim/lossy.h"
+#include "netsim/faulty.h"
 #include "stack/host.h"
 #include "trace/generators.h"
 
@@ -21,7 +21,7 @@ using stack::TcpConnection;
 TEST(Robustness, TcpSurvivesHeavyLoss) {
   EventLoop loop;
   Network net{loop};
-  net.emplace<LossyElement>(0.08, /*seed=*/42);
+  net.emplace<FaultyLink>(FaultPolicy{.loss = 0.08}, /*seed=*/42);
   Host client(net.client_port(), ip_addr("10.0.0.1"),
               OsProfile::linux_profile());
   Host server(net.server_port(), ip_addr("10.9.9.9"),
@@ -57,7 +57,8 @@ TEST_P(LossyEvasion, SplitStillEvadesUnderLoss) {
   auto lossy_env = std::make_unique<dpi::Environment>();
   lossy_env->name = "testbed-lossy";
   lossy_env->signal = dpi::Environment::Signal::kDirect;
-  lossy_env->net.emplace<LossyElement>(GetParam(), /*seed=*/7);
+  lossy_env->net.emplace<FaultyLink>(FaultPolicy{.loss = GetParam()},
+                                     /*seed=*/7);
   lossy_env->net.emplace<RouterHop>(ip_addr("10.8.0.1"));
   lossy_env->dpi = &lossy_env->net.emplace<dpi::DpiMiddlebox>(mc);
   lossy_env->net.emplace<RouterHop>(ip_addr("10.8.0.2"));
@@ -86,7 +87,8 @@ TEST(Robustness, JitterReorderingDeliversIntact) {
   EventLoop loop;
   Network net{loop};
   // Jitter up to 20 ms against ~1 ms packet spacing: heavy reordering.
-  net.emplace<JitterElement>(milliseconds(20), /*seed=*/5);
+  net.emplace<FaultyLink>(FaultPolicy{.max_jitter = milliseconds(20)},
+                         /*seed=*/5);
   Host client(net.client_port(), ip_addr("10.0.0.1"),
               OsProfile::linux_profile());
   Host server(net.server_port(), ip_addr("10.9.9.9"),

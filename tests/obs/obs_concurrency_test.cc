@@ -63,62 +63,6 @@ TEST(ObsConcurrency, CounterTotalsConservedUnderContention) {
             static_cast<std::uint64_t>(kTasks) * kAddsPerTask);
 }
 
-TEST(ObsConcurrency, HistogramCountAndBucketsConsistent) {
-  Histogram& h = MetricsRegistry::instance().histogram(
-      "test.concurrency.hist", {1.0, 2.0, 4.0});
-  h.reset();
-  constexpr int kWorkers = 8;
-  constexpr int kTasks = 32;
-  constexpr int kObsPerTask = 2000;
-
-  std::atomic<bool> done{false};
-  auto reader = std::async(std::launch::async, [&]() {
-    while (!done.load(std::memory_order_acquire)) {
-      auto counts = h.bucket_counts();
-      std::uint64_t bucket_sum = 0;
-      for (std::uint64_t b : counts) bucket_sum += b;
-      // count() recomputes from the same cells; both are sums of relaxed
-      // loads, so they can only disagree transiently by in-flight adds —
-      // never exceed the true total.
-      EXPECT_LE(bucket_sum,
-                static_cast<std::uint64_t>(kTasks) * kObsPerTask);
-    }
-  });
-
-  {
-    ThreadPool pool(kWorkers);
-    std::vector<std::future<void>> fs;
-    for (int t = 0; t < kTasks; ++t) {
-      fs.push_back(pool.submit([t]() {
-        for (int i = 0; i < kObsPerTask; ++i) {
-          // Deterministic spread across buckets, including overflow.
-          double v = static_cast<double>((t + i) % 6);
-          LIBERATE_HISTOGRAM_OBSERVE("test.concurrency.hist",
-                                     ({1.0, 2.0, 4.0}), v);
-        }
-      }));
-    }
-    for (auto& f : fs) f.get();
-  }
-  done.store(true, std::memory_order_release);
-  reader.get();
-
-  constexpr std::uint64_t kTotal =
-      static_cast<std::uint64_t>(kTasks) * kObsPerTask;
-  EXPECT_EQ(h.count(), kTotal);
-  auto counts = h.bucket_counts();
-  std::uint64_t bucket_sum = 0;
-  for (std::uint64_t b : counts) bucket_sum += b;
-  EXPECT_EQ(bucket_sum, kTotal);
-  // The sum is kept in integer microunits, so it is exactly the sum of the
-  // observed values: each task observes (t+i)%6 for i in [0,kObsPerTask).
-  double expected_sum = 0;
-  for (int t = 0; t < kTasks; ++t) {
-    for (int i = 0; i < kObsPerTask; ++i) expected_sum += (t + i) % 6;
-  }
-  EXPECT_DOUBLE_EQ(h.sum(), expected_sum);
-}
-
 TEST(ObsConcurrency, GaugeHighWaterNeverBelowAnySetValue) {
   Gauge& g = MetricsRegistry::instance().gauge("test.concurrency.gauge");
   g.reset();

@@ -21,8 +21,8 @@ Snapshot seeded_snapshot() {
   LIBERATE_COUNTER_ADD("test.export.requests", 3);
   LIBERATE_GAUGE_SET("test.export.depth", 5);
   LIBERATE_GAUGE_SET("test.export.depth", 2);
-  LIBERATE_HISTOGRAM_OBSERVE("test.export.latency", ({0.5, 1.0}), 0.25);
-  LIBERATE_HISTOGRAM_OBSERVE("test.export.latency", ({0.5, 1.0}), 2.5);
+  LIBERATE_HDR_RECORD("test.export.latency", 250);
+  LIBERATE_HDR_RECORD("test.export.latency", 2500);
   LIBERATE_OBS_EVENT(42, "test", "export", fv("rule", "video"));
   {
     ScopedSpan s("test.export.span", []() { return std::uint64_t{9}; });
@@ -40,11 +40,12 @@ TEST(ObsExport, PrometheusTextFormat) {
   EXPECT_NE(text.find("# TYPE test_export_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("test_export_depth 2"), std::string::npos);
   EXPECT_NE(text.find("test_export_depth_high_water 5"), std::string::npos);
-  // Histogram buckets are cumulative with an +Inf catch-all.
-  EXPECT_NE(text.find("test_export_latency_bucket{le=\"0.5\"} 1"),
+  // Histograms export as summaries: quantile series plus sum and count.
+  EXPECT_NE(text.find("# TYPE test_export_latency summary"),
             std::string::npos);
-  EXPECT_NE(text.find("test_export_latency_bucket{le=\"+Inf\"} 2"),
+  EXPECT_NE(text.find("test_export_latency{quantile=\"0.5\"} "),
             std::string::npos);
+  EXPECT_NE(text.find("test_export_latency_sum 2750"), std::string::npos);
   EXPECT_NE(text.find("test_export_latency_count 2"), std::string::npos);
 }
 

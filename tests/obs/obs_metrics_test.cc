@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 
 #include "obs/obs.h"
 #include "obs/snapshot.h"
@@ -58,64 +57,15 @@ TEST(ObsMetrics, GaugeTracksValueAndHighWater) {
   EXPECT_EQ(g.high_water(), 12);
 }
 
-TEST(ObsMetrics, HistogramBucketsAndExactSum) {
-  Histogram& h = MetricsRegistry::instance().histogram(
-      "test.metrics.hist_a", {1.0, 10.0, 100.0});
-  h.reset();
-  h.observe(0.5);    // bucket 0 (<= 1)
-  h.observe(1.0);    // bucket 0 (boundary is inclusive)
-  h.observe(5.0);    // bucket 1
-  h.observe(50.0);   // bucket 2
-  h.observe(500.0);  // overflow bucket
-  auto counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 556.5);
-}
-
-TEST(ObsMetrics, HistogramClampsExtremeObservations) {
-  // Regression: observe() casts v * 1e6 to int64 micro-units; a double past
-  // the int64 range made that cast UB. Extreme values now clamp to
-  // ±kSumClampMicrounits and NaN contributes 0 — while the bucket count is
-  // always recorded, so count() stays exact.
-  Histogram& h = MetricsRegistry::instance().histogram(
-      "test.metrics.hist_clamp", {1.0});
-  h.reset();
-  h.observe(1e300);                                        // clamps to +9e12
-  h.observe(-1e300);                                       // clamps to -9e12
-  h.observe(std::numeric_limits<double>::quiet_NaN());     // counted, sum +0
-  h.observe(std::numeric_limits<double>::infinity());      // clamps to +9e12
-  h.observe(2.5);                                          // normal value
-  EXPECT_EQ(h.count(), 5u);
-  // +clamp, -clamp, and +clamp again cancel down to one clamp plus 2.5.
-  EXPECT_DOUBLE_EQ(h.sum(), Histogram::kSumClampMicrounits / 1e6 + 2.5);
-  auto counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[1], 3u);  // 1e300, inf, 2.5 land past the 1.0 bound
-}
-
-TEST(ObsMetrics, HistogramBoundsFixedByFirstRegistration) {
-  Histogram& first = MetricsRegistry::instance().histogram(
-      "test.metrics.hist_b", {1.0, 2.0});
-  Histogram& again = MetricsRegistry::instance().histogram(
-      "test.metrics.hist_b", {99.0});
-  EXPECT_EQ(&first, &again);
-  EXPECT_EQ(again.bounds(), (std::vector<double>{1.0, 2.0}));
-}
-
 TEST(ObsMetrics, MacrosRegisterAndSurviveReset) {
   MetricsRegistry::instance().reset();
   LIBERATE_COUNTER_ADD("test.metrics.macro_counter", 2);
   LIBERATE_GAUGE_SET("test.metrics.macro_gauge", 9);
-  LIBERATE_HISTOGRAM_OBSERVE("test.metrics.macro_hist", ({0.1, 1.0}), 0.25);
+  LIBERATE_HDR_RECORD("test.metrics.macro_hist", 250);
   auto snap = MetricsRegistry::instance().snapshot();
   EXPECT_EQ(snap.counters.at("test.metrics.macro_counter"), 2u);
   EXPECT_EQ(snap.gauges.at("test.metrics.macro_gauge").value, 9);
-  EXPECT_EQ(snap.histograms.at("test.metrics.macro_hist").count, 1u);
+  EXPECT_EQ(snap.hdr_histograms.at("test.metrics.macro_hist").count, 1u);
   // reset() zeroes in place; the cached static reference inside the macro
   // expansion keeps pointing at live storage.
   MetricsRegistry::instance().reset();

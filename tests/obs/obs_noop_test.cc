@@ -27,7 +27,7 @@ TEST(ObsNoop, MacrosDoNotEvaluateArguments) {
   LIBERATE_COUNTER_ADD("test.noop.counter", evals++);
   LIBERATE_GAUGE_SET("test.noop.gauge", evals++);
   LIBERATE_GAUGE_ADD("test.noop.gauge", evals++);
-  LIBERATE_HISTOGRAM_OBSERVE("test.noop.hist", ({1.0, 2.0}), evals++);
+  LIBERATE_HDR_RECORD("test.noop.hist", evals++);
   LIBERATE_OBS_EVENT(0, "test", "noop", fv("n", evals++));
   LIBERATE_OBS_SPAN("test.noop.span", [&evals]() {
     evals++;
@@ -39,12 +39,12 @@ TEST(ObsNoop, MacrosDoNotEvaluateArguments) {
 TEST(ObsNoop, RegistryNeverSeesLevelZeroNames) {
   LIBERATE_COUNTER_ADD("test.noop.counter", 1);
   LIBERATE_GAUGE_SET("test.noop.gauge", 1);
-  LIBERATE_HISTOGRAM_OBSERVE("test.noop.hist", ({1.0}), 1);
+  LIBERATE_HDR_RECORD("test.noop.hist", 1);
   LIBERATE_OBS_EVENT(0, "test", "noop_kind");
   Snapshot snap = capture();
   EXPECT_EQ(snap.metrics.counters.count("test.noop.counter"), 0u);
   EXPECT_EQ(snap.metrics.gauges.count("test.noop.gauge"), 0u);
-  EXPECT_EQ(snap.metrics.histograms.count("test.noop.hist"), 0u);
+  EXPECT_EQ(snap.metrics.hdr_histograms.count("test.noop.hist"), 0u);
   EXPECT_EQ(snap.events.totals.count("test.noop_kind"), 0u);
 }
 

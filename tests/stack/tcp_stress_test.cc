@@ -2,7 +2,7 @@
 // bulk, many concurrent connections, interleaved close patterns.
 #include <gtest/gtest.h>
 
-#include "netsim/lossy.h"
+#include "netsim/faulty.h"
 #include "netsim/network.h"
 #include "stack/host.h"
 #include "util/rng.h"
@@ -100,7 +100,7 @@ TEST(TcpStress, DataThenImmediateCloseDeliversEverything) {
 TEST(TcpStress, CloseUnderLossStillCompletes) {
   EventLoop loop;
   Network net{loop};
-  net.emplace<LossyElement>(0.1, 77);
+  net.emplace<FaultyLink>(FaultPolicy{.loss = 0.1}, 77);
   Host client(net.client_port(), ip_addr("10.0.0.1"),
               OsProfile::linux_profile());
   Host server(net.server_port(), ip_addr("10.9.9.9"),
