@@ -130,8 +130,7 @@ int main() {
     json.metric("drift_wall_s", wall);
     json.metric("drift_to_redeploy_waves",
                 static_cast<std::uint64_t>(drift_latency_waves));
-    // Gated by scripts/bench_compare.py ("rounds" suffix, lower is better):
-    // a regression here means drift recovery got more expensive.
+    // Lower is better: a rise here means drift recovery got more expensive.
     json.metric("drift_to_redeploy_rounds", drift_to_redeploy_rounds);
     json.metric("full_analysis_rounds", report.initial_analysis_rounds);
     json.metric("full_analysis_bytes", report.initial_analysis_bytes);

@@ -105,8 +105,8 @@ class JsonReport {
     JsonWriter w;
     w.begin_object();
     w.key("bench").value(name_);
-    // Build/run context: lets scripts/bench_compare.py reject comparisons
-    // across different commits, obs levels, or worker counts.
+    // Build/run context: tells a reader comparing two reports whether they
+    // came from different commits, obs levels, or worker counts.
     w.key("context").begin_object();
     w.key("git_sha").value(LIBERATE_GIT_SHA);
     w.key("obs_level").value(static_cast<int>(LIBERATE_OBS_LEVEL));

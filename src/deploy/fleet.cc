@@ -32,6 +32,11 @@ namespace {
 constexpr std::uint32_t kClientIp = 0x0a000001;  // 10.0.0.1
 constexpr std::uint32_t kServerIp = 0xc6336414;  // 198.51.100.20
 
+/// Full-stack mode: virtual-time spacing between flow starts within a wave,
+/// and the virtual seconds a wave gets beyond its transfer budget.
+constexpr Duration kFlowStagger = netsim::milliseconds(5);
+constexpr double kWaveSlackSeconds = 30.0;
+
 // splitmix64 finalizer: decorrelates per-shard seeds derived from the fleet
 // seed (same construction as the round scheduler's world seeds).
 std::uint64_t mix(std::uint64_t x) {
@@ -268,7 +273,7 @@ WaveStats FleetEngine::run_wave_full_stack(Shard& shard,
   const std::uint16_t server_port = trace.server_port;
   for (std::size_t f = 0; f < flows; ++f) {
     loop.schedule(
-        static_cast<Duration>(f) * options_.flow_stagger,
+        static_cast<Duration>(f) * kFlowStagger,
         [wd, f, shard_ptr, server_port, wave_base, server_total, loop_ptr]() {
           FlowSlot& slot = wd->slots[f];
           slot.started_at = loop_ptr->now();
@@ -303,8 +308,8 @@ WaveStats FleetEngine::run_wave_full_stack(Shard& shard,
   const double wave_bytes = static_cast<double>(client_total + server_total) *
                             static_cast<double>(flows);
   const double budget_s =
-      options_.wave_timeout_s +
-      netsim::to_seconds(options_.flow_stagger) * static_cast<double>(flows) +
+      kWaveSlackSeconds +
+      netsim::to_seconds(kFlowStagger) * static_cast<double>(flows) +
       wave_bytes * 8.0 / 1.0e6;
   const TimePoint deadline =
       loop.now() + static_cast<Duration>(budget_s * 1e6);
@@ -459,7 +464,7 @@ FleetReport FleetEngine::run(const ApplicationTrace& trace) {
   swap_technique(technique, current);
 
   // Phase 2: waves under drift monitoring.
-  DriftMonitor monitor(options_.drift);
+  DriftMonitor monitor;
   AdaptationPolicy policy;
   std::unique_ptr<ThreadPool> pool;
   if (options_.workers > 0) pool = std::make_unique<ThreadPool>(options_.workers);
@@ -560,41 +565,38 @@ FleetReport FleetEngine::run(const ApplicationTrace& trace) {
     const std::uint64_t ts_us = static_cast<std::uint64_t>(wave) * 1'000'000u;
 
     // Telemetry hub sampling: per-shard series points plus a registry tick.
-    // Compiled away at obs level 0; skipped at runtime when sample_telemetry
-    // is off (bench_telemetry's baseline). All timestamps are the wave's
-    // sim-clock boundary, so identical runs produce identical series.
-    if (options_.sample_telemetry) {
-      for (std::size_t i = 0; i < wr.shard_stats.size(); ++i) {
-        const WaveStats& s = wr.shard_stats[i];
-        LIBERATE_TS_SAMPLE("fleet.diff_rate", i, ts_us,
-                           s.differentiated_rate());
-        LIBERATE_TS_SAMPLE("fleet.blocked_rate", i, ts_us, s.blocked_rate());
-        LIBERATE_TS_SAMPLE("fleet.incomplete_rate", i, ts_us,
-                           s.incomplete_rate());
-        LIBERATE_TS_SAMPLE("fleet.latency_us", i, ts_us, s.mean_latency_us());
-        // Per-wave fault/eviction movement, straight off the merged delta
-        // stream (the merger keeps each shard's previous publish).
-        LIBERATE_TS_SAMPLE(
-            "fleet.faults", i, ts_us,
-            merger.wave_delta(i, ShardCounter::kFaultsInjected));
-        LIBERATE_TS_SAMPLE("fleet.evicted", i, ts_us,
-                           merger.wave_delta(i, ShardCounter::kFlowsEvicted));
-        // Open-addressing occupancy of the shard's shim table. Read on the
-        // control thread at the wave boundary (shard loops are idle).
-        LIBERATE_TS_SAMPLE("fleet.flow_table_load", i, ts_us,
-                           shards_[i]->shim->flow_table_load());
-      }
-      LIBERATE_TS_SAMPLE("fleet.diff_rate", -1, ts_us,
-                         wr.stats.differentiated_rate());
-      LIBERATE_TS_SAMPLE("fleet.blocked_rate", -1, ts_us,
-                         wr.stats.blocked_rate());
-      LIBERATE_TS_SAMPLE("fleet.incomplete_rate", -1, ts_us,
-                         wr.stats.incomplete_rate());
-      LIBERATE_TS_SAMPLE("fleet.latency_us", -1, ts_us,
-                         wr.stats.mean_latency_us());
-      LIBERATE_TS_TICK(ts_us, {"deploy.", "dpi.", "netsim.", "stack.",
-                               "core."});
+    // Compiled away at obs level 0. All timestamps are the wave's sim-clock
+    // boundary, so identical runs produce identical series.
+    for (std::size_t i = 0; i < wr.shard_stats.size(); ++i) {
+      [[maybe_unused]] const WaveStats& s = wr.shard_stats[i];
+      LIBERATE_TS_SAMPLE("fleet.diff_rate", i, ts_us,
+                         s.differentiated_rate());
+      LIBERATE_TS_SAMPLE("fleet.blocked_rate", i, ts_us, s.blocked_rate());
+      LIBERATE_TS_SAMPLE("fleet.incomplete_rate", i, ts_us,
+                         s.incomplete_rate());
+      LIBERATE_TS_SAMPLE("fleet.latency_us", i, ts_us, s.mean_latency_us());
+      // Per-wave fault/eviction movement, straight off the merged delta
+      // stream (the merger keeps each shard's previous publish).
+      LIBERATE_TS_SAMPLE(
+          "fleet.faults", i, ts_us,
+          merger.wave_delta(i, ShardCounter::kFaultsInjected));
+      LIBERATE_TS_SAMPLE("fleet.evicted", i, ts_us,
+                         merger.wave_delta(i, ShardCounter::kFlowsEvicted));
+      // Open-addressing occupancy of the shard's shim table. Read on the
+      // control thread at the wave boundary (shard loops are idle).
+      LIBERATE_TS_SAMPLE("fleet.flow_table_load", i, ts_us,
+                         shards_[i]->shim->flow_table_load());
     }
+    LIBERATE_TS_SAMPLE("fleet.diff_rate", -1, ts_us,
+                       wr.stats.differentiated_rate());
+    LIBERATE_TS_SAMPLE("fleet.blocked_rate", -1, ts_us,
+                       wr.stats.blocked_rate());
+    LIBERATE_TS_SAMPLE("fleet.incomplete_rate", -1, ts_us,
+                       wr.stats.incomplete_rate());
+    LIBERATE_TS_SAMPLE("fleet.latency_us", -1, ts_us,
+                       wr.stats.mean_latency_us());
+    LIBERATE_TS_TICK(ts_us, {"deploy.", "dpi.", "netsim.", "stack.",
+                             "core."});
 
     // Anomaly pass: robust z-scores over the merged series. A flagged
     // detector on a rate-suspect wave corroborates drift (the monitor
@@ -652,10 +654,8 @@ FleetReport FleetEngine::run(const ApplicationTrace& trace) {
       // value comes from the runner's deterministic round counter, so the
       // "fleet."-prefixed telemetry document stays byte-identical across
       // worker counts and match backends.
-      if (options_.sample_telemetry) {
-        LIBERATE_TS_SAMPLE("fleet.cost.readapt_rounds", -1, ts_us,
-                           wr.readapt_rounds);
-      }
+      LIBERATE_TS_SAMPLE("fleet.cost.readapt_rounds", -1, ts_us,
+                         wr.readapt_rounds);
 
       if (outcome.path == ReadaptPath::kFullAnalysis) {
         policy.transition(DeployState::kReAnalyzing, wave,
@@ -744,10 +744,8 @@ FleetReport FleetEngine::run(const ApplicationTrace& trace) {
   // so the document is byte-identical across worker counts and backends
   // (registry-tick series like util.* are deliberately excluded — pool
   // counters depend on worker count).
-  if (options_.sample_telemetry) {
-    report.telemetry_json = obs::timeseries_to_json(
-        obs::TimeSeriesStore::instance().snapshot("fleet."));
-  }
+  report.telemetry_json = obs::timeseries_to_json(
+      obs::TimeSeriesStore::instance().snapshot("fleet."));
 #endif
   return report;
 }

@@ -82,24 +82,10 @@ struct FleetOptions {
   /// Flow-table cap handed to each shard's shim.
   std::size_t max_flows_per_shim = core::EvasionShim::kDefaultMaxFlows;
 
-  DriftThresholds drift;
-
-  /// Virtual-time spacing between flow starts within a wave.
-  netsim::Duration flow_stagger = netsim::milliseconds(5);
-  /// Extra virtual seconds granted to a wave beyond the transfer budget.
-  double wave_timeout_s = 30.0;
-
   /// Scripted classifier change: applied to every world (shards + probe) at
   /// the start of wave `change_at_wave`. SIZE_MAX = never.
   std::size_t change_at_wave = static_cast<std::size_t>(-1);
   std::function<void(dpi::Environment&)> classifier_change;
-
-  /// Runtime switch for the telemetry hub sampling (per-wave time-series
-  /// points + registry tick). Off = the sampling block is skipped entirely,
-  /// which is what bench_telemetry compares against; the anomaly detector
-  /// and drift corroboration are NOT affected — they are control-plane
-  /// logic, not telemetry.
-  bool sample_telemetry = true;
 
   /// Invoked after each wave's report is fully assembled (stats merged,
   /// drift evaluated, telemetry sampled) — the hook liberate_top uses to
@@ -198,7 +184,7 @@ struct FleetReport {
   /// The telemetry hub's "fleet."-prefixed time series as JSON (per-shard
   /// rates, latency, fault/eviction deltas — all sim-clock sampled, so the
   /// document is byte-identical across worker counts and match backends).
-  /// Empty when the build is at obs level 0 or sample_telemetry was off.
+  /// Empty when the build is at obs level 0.
   std::string telemetry_json;
 
   /// Deterministic FLEET-prefixed text (one line per wave + transitions +

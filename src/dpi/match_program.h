@@ -26,7 +26,7 @@
 // same RuleHit and emits byte-identical RuleStep sequences and ContentTrace
 // offsets as match_rules_reference_traced(). The reference matcher is kept
 // forever as the differential oracle (tests/dpi/match_program_diff_test.cc,
-// src/fuzz match-program campaign); docs/match_program.md spells out the
+// tests/fuzz match-program campaign); docs/match_program.md spells out the
 // contract.
 //
 // Programs are immutable after compile() and safe to share across threads

@@ -38,11 +38,6 @@ constexpr std::string_view kDecoyKeyword = "news-decoy.example.net";
 constexpr std::string_view kDecoyClass = "news";
 constexpr std::size_t kRequestLineEnd = 17;
 
-// Codec hard caps (decode_probe_script rejects anything larger).
-constexpr std::size_t kMaxDimensionName = 256;
-constexpr std::size_t kMaxPackets = 1024;
-constexpr std::size_t kMaxProbePayload = 65536;
-
 netsim::FiveTuple probe_tuple() {
   netsim::FiveTuple t;
   t.src_ip = kProbeClientIp;
@@ -416,101 +411,6 @@ std::vector<ProbeScript> ambiguity_probe_catalog(int hops_before_middlebox) {
                        /*send_syn=*/false));
 
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Codec.
-
-Bytes encode_probe_script(const ProbeScript& s) {
-  ByteWriter w(64 + 80 * s.packets.size());
-  w.raw(std::string_view("APv1"));
-  w.u16(static_cast<std::uint16_t>(s.dimension.size()));
-  w.raw(std::string_view(s.dimension));
-  w.u32(s.variant);
-  w.u32(s.isn);
-  w.u8(s.send_syn ? 1 : 0);
-  w.u16(static_cast<std::uint16_t>(s.packets.size()));
-  for (const ProbePacket& p : s.packets) {
-    w.u8(static_cast<std::uint8_t>(p.kind));
-    if (p.kind == ProbePacket::Kind::kSegment) {
-      w.u32(p.rel_seq);
-      w.u8(p.tcp_flags);
-      w.u8(p.ttl);
-      w.u8(p.corrupt_tcp_checksum ? 1 : 0);
-      w.u16(p.urgent_ptr);
-      w.u8(p.ip_option_kind);
-    } else {
-      w.u16(p.frag_offset_words);
-      w.u8(p.more_fragments ? 1 : 0);
-    }
-    w.u32(static_cast<std::uint32_t>(p.payload.size()));
-    w.raw(BytesView(p.payload));
-  }
-  return std::move(w).take();
-}
-
-std::optional<ProbeScript> decode_probe_script(BytesView data) {
-  ByteReader r(data);
-  auto magic = r.raw(4);
-  if (!magic.ok() || to_string(magic.value()) != "APv1") return std::nullopt;
-  ProbeScript s;
-  auto name_len = r.u16();
-  if (!name_len.ok() || name_len.value() > kMaxDimensionName) {
-    return std::nullopt;
-  }
-  auto name = r.raw(name_len.value());
-  if (!name.ok()) return std::nullopt;
-  s.dimension = to_string(name.value());
-  auto variant = r.u32();
-  auto isn = r.u32();
-  auto syn = r.u8();
-  auto count = r.u16();
-  if (!variant.ok() || !isn.ok() || !syn.ok() || !count.ok()) {
-    return std::nullopt;
-  }
-  if (syn.value() > 1 || count.value() > kMaxPackets) return std::nullopt;
-  s.variant = variant.value();
-  s.isn = isn.value();
-  s.send_syn = syn.value() == 1;
-  s.packets.reserve(count.value());
-  for (std::uint16_t i = 0; i < count.value(); ++i) {
-    auto kind = r.u8();
-    if (!kind.ok() || kind.value() > 1) return std::nullopt;
-    ProbePacket p;
-    p.kind = static_cast<ProbePacket::Kind>(kind.value());
-    if (p.kind == ProbePacket::Kind::kSegment) {
-      auto rel_seq = r.u32();
-      auto flags = r.u8();
-      auto ttl = r.u8();
-      auto corrupt = r.u8();
-      auto urg = r.u16();
-      auto opt = r.u8();
-      if (!rel_seq.ok() || !flags.ok() || !ttl.ok() || !corrupt.ok() ||
-          !urg.ok() || !opt.ok() || corrupt.value() > 1) {
-        return std::nullopt;
-      }
-      p.rel_seq = rel_seq.value();
-      p.tcp_flags = flags.value();
-      p.ttl = ttl.value();
-      p.corrupt_tcp_checksum = corrupt.value() == 1;
-      p.urgent_ptr = urg.value();
-      p.ip_option_kind = opt.value();
-    } else {
-      auto off = r.u16();
-      auto mf = r.u8();
-      if (!off.ok() || !mf.ok() || mf.value() > 1) return std::nullopt;
-      p.frag_offset_words = off.value();
-      p.more_fragments = mf.value() == 1;
-    }
-    auto len = r.u32();
-    if (!len.ok() || len.value() > kMaxProbePayload) return std::nullopt;
-    auto payload = r.raw(len.value());
-    if (!payload.ok()) return std::nullopt;
-    p.payload = Bytes(payload.value().begin(), payload.value().end());
-    s.packets.push_back(std::move(p));
-  }
-  if (!r.empty()) return std::nullopt;  // trailing bytes
-  return s;
 }
 
 // ---------------------------------------------------------------------------

@@ -11,16 +11,11 @@
 // and the two observation bits per variant — classifier saw the keyword /
 // server saw the keyword — distill into an AmbiguityDigest
 // (docs/fingerprinting.md).
-//
-// Scripts have a strict length-prefixed binary codec (magic "APv1") so
-// probe sets can be persisted and replayed; malformed inputs must be
-// rejected, which is exactly what the fuzz campaign in tests/fuzz hammers.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,12 +60,6 @@ struct ProbeScript {
 
   bool operator==(const ProbeScript&) const = default;
 };
-
-/// Strict binary codec (magic "APv1", network-order, length-prefixed).
-/// decode rejects anything malformed: bad magic, truncation, trailing
-/// bytes, out-of-range kinds/booleans, oversized strings or payloads.
-Bytes encode_probe_script(const ProbeScript& script);
-std::optional<ProbeScript> decode_probe_script(BytesView data);
 
 /// What one probe flow observed.
 struct ProbeObservation {

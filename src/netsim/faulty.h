@@ -9,7 +9,7 @@
 // arrival order on the deterministic event loop, the same seed produces the
 // same fault sequence — and therefore the same delivered byte stream — on
 // every run and under any worker count (each parallel replay round owns an
-// isolated world). The fuzz harness (src/fuzz) and the robustness tests
+// isolated world). The fuzz harness (tests/fuzz) and the robustness tests
 // drive flows through this element; core replay picks it up via
 // WorldSpec::faults.
 #pragma once

@@ -121,11 +121,7 @@ class CostLedger {
     CostPhase saved_;
   };
 
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   void tick(CostKind kind, std::uint64_t n) {
-    if (!enabled()) return;
     cells_[static_cast<std::size_t>(current_phase())]
           [static_cast<std::size_t>(kind)][shard_index()]
               .v.fetch_add(n, std::memory_order_relaxed);
@@ -159,7 +155,6 @@ class CostLedger {
   std::array<std::array<std::array<ShardCell, kShards>, kCostKinds>,
              kCostPhases>
       cells_{};
-  std::atomic<bool> enabled_{true};
 };
 
 }  // namespace liberate::obs

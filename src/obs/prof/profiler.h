@@ -55,7 +55,7 @@ struct ProfileSnapshot {
 class Profiler {
  public:
   /// Node id space: 0 is the synthetic root (also "no node"), kInvalidNode
-  /// marks a disabled/dropped enter whose exit must be a no-op.
+  /// marks a dropped enter whose exit must be a no-op.
   static constexpr std::uint32_t kRootNode = 0;
   static constexpr std::uint32_t kInvalidNode = 0xffffffffu;
   static constexpr std::size_t kMaxNodes = 512;
@@ -78,15 +78,9 @@ class Profiler {
     return t_node;
   }
 
-  /// Runtime toggle (independent of compile-time gating) so benches can
-  /// measure the enabled-vs-disabled delta in one binary.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   Token enter(const std::string& name) {
     Token tok;
     tok.prev = current_node();
-    if (!enabled()) return tok;
     tok.node = intern(tok.prev, name);
     if (tok.node != kInvalidNode) current_node() = tok.node;
     return tok;
@@ -226,7 +220,6 @@ class Profiler {
   std::map<std::pair<std::uint32_t, std::string>, std::uint32_t> index_;
   std::uint32_t count_ = 0;  // slots in use, including the root
   std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<bool> enabled_{true};
 };
 
 }  // namespace liberate::obs::prof

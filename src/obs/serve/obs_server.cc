@@ -16,6 +16,10 @@ namespace liberate::obs::serve {
 
 namespace {
 
+constexpr int kListenBacklog = 16;
+constexpr int kPollIntervalMs = 50;  // stop-flag latency of the accept loop
+constexpr int kIoTimeoutMs = 2000;   // per-socket send/recv timeout
+
 std::string status_line(int status) {
   switch (status) {
     case 200: return "HTTP/1.0 200 OK";
@@ -81,7 +85,7 @@ bool ObsServer::start() {
     listen_fd_ = -1;
     return false;
   }
-  if (::listen(listen_fd_, options_.backlog) < 0) {
+  if (::listen(listen_fd_, kListenBacklog) < 0) {
     error_ = std::string("listen: ") + std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -116,7 +120,7 @@ void ObsServer::serve_loop() {
     pollfd pfd{};
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
-    int rc = ::poll(&pfd, 1, options_.poll_interval_ms);
+    int rc = ::poll(&pfd, 1, kPollIntervalMs);
     if (rc < 0) {
       if (errno == EINTR) continue;
       break;
@@ -125,8 +129,8 @@ void ObsServer::serve_loop() {
     int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
     timeval tv{};
-    tv.tv_sec = options_.io_timeout_ms / 1000;
-    tv.tv_usec = (options_.io_timeout_ms % 1000) * 1000;
+    tv.tv_sec = kIoTimeoutMs / 1000;
+    tv.tv_usec = (kIoTimeoutMs % 1000) * 1000;
     ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
     handle_client(client);

@@ -31,10 +31,7 @@ namespace liberate::obs::serve {
 
 struct ObsServerOptions {
   std::uint16_t port = 0;  // 0 = pick an ephemeral port (see port())
-  int backlog = 16;
   std::size_t max_request_bytes = 4096;  // request head cap; 431 beyond
-  int poll_interval_ms = 50;             // stop-flag latency of accept loop
-  int io_timeout_ms = 2000;              // per-socket send/recv timeout
 };
 
 class ObsServer {

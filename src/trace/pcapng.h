@@ -1,8 +1,9 @@
-// pcapng.h — pcapng (pcap next generation) export/import with per-packet
+// pcapng.h — pcapng (pcap next generation) export with per-packet
 // comments: the library's capture format.
 //
 // Lets wire captures from TapElements be inspected with standard tooling
-// (tcpdump/wireshark) and round-trip within the library for tests. Unlike
+// (tcpdump/wireshark); tests/trace/pcapng_test.cc carries an independent
+// reader that checks the output round-trips byte-exactly. Unlike
 // classic pcap, pcapng Enhanced Packet Blocks carry an opt_comment option,
 // so a capture can show *why* a packet crossed the wire as well as *what*:
 // the provenance flight recorder annotates every packet with its lineage
@@ -18,7 +19,6 @@
 #include "netsim/network.h"
 #include "netsim/simclock.h"
 #include "util/bytes.h"
-#include "util/result.h"
 
 namespace liberate::trace {
 
@@ -32,11 +32,6 @@ struct PcapngRecord {
 /// Interface Description Block (LINKTYPE_RAW=101, microsecond resolution),
 /// then one Enhanced Packet Block per record.
 Bytes write_pcapng(const std::vector<PcapngRecord>& records);
-
-/// Parse a pcapng stream produced by write_pcapng (or any little-endian
-/// single-section pcapng whose EPBs reference interface 0); unknown block
-/// types are skipped, per the spec.
-Result<std::vector<PcapngRecord>> read_pcapng(BytesView data);
 
 /// Everything a tap saw, as an uncommented pcapng stream.
 Bytes tap_to_pcapng(const netsim::TapElement& tap);

@@ -10,55 +10,4 @@ ApplicationTrace ApplicationTrace::bit_inverted() const {
   return out;
 }
 
-Bytes serialize_trace(const ApplicationTrace& trace) {
-  ByteWriter w;
-  w.raw(std::string_view("LTR1"));  // magic + version
-  w.u8(trace.transport == Transport::kTcp ? 0 : 1);
-  w.u16(trace.server_port);
-  w.u16(static_cast<std::uint16_t>(trace.app_name.size()));
-  w.raw(trace.app_name);
-  w.u32(static_cast<std::uint32_t>(trace.messages.size()));
-  for (const auto& m : trace.messages) {
-    w.u8(m.sender == Sender::kClient ? 0 : 1);
-    w.u32(static_cast<std::uint32_t>(m.gap_us));
-    w.u32(static_cast<std::uint32_t>(m.payload.size()));
-    w.raw(m.payload);
-  }
-  return std::move(w).take();
-}
-
-ApplicationTrace deserialize_trace(BytesView data) {
-  ApplicationTrace out;
-  ByteReader r(data);
-  auto magic = r.raw(4);
-  if (!magic.ok() || to_string(magic.value()) != "LTR1") return out;
-  auto transport = r.u8();
-  auto port = r.u16();
-  auto name_len = r.u16();
-  if (!transport.ok() || !port.ok() || !name_len.ok()) return out;
-  auto name = r.raw(name_len.value());
-  auto count = r.u32();
-  if (!name.ok() || !count.ok()) return out;
-
-  ApplicationTrace trace;
-  trace.transport =
-      transport.value() == 0 ? Transport::kTcp : Transport::kUdp;
-  trace.server_port = port.value();
-  trace.app_name = to_string(name.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto sender = r.u8();
-    auto gap = r.u32();
-    auto len = r.u32();
-    if (!sender.ok() || !gap.ok() || !len.ok()) return out;
-    auto payload = r.raw(len.value());
-    if (!payload.ok()) return out;
-    Message m;
-    m.sender = sender.value() == 0 ? Sender::kClient : Sender::kServer;
-    m.gap_us = gap.value();
-    m.payload.assign(payload.value().begin(), payload.value().end());
-    trace.messages.push_back(std::move(m));
-  }
-  return trace;
-}
-
 }  // namespace liberate::trace

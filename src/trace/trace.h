@@ -58,10 +58,4 @@ struct ApplicationTrace {
   ApplicationTrace bit_inverted() const;
 };
 
-/// Serialize/deserialize traces to a simple length-prefixed binary format
-/// (record once, replay everywhere — Fig. 3 step 1).
-Bytes serialize_trace(const ApplicationTrace& trace);
-/// Returns an empty-name trace on malformed input.
-ApplicationTrace deserialize_trace(BytesView data);
-
 }  // namespace liberate::trace

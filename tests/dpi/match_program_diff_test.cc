@@ -5,7 +5,7 @@
 // sequences as match_rules_reference_traced(). This suite enforces the
 // contract two ways:
 //
-//   * a seed-driven differential sweep (the src/fuzz match campaign
+//   * a seed-driven differential sweep (the tests/fuzz match campaign
 //     generator): randomized rule sets × adversarial contents × contexts,
 //     >= 100k cases per run, traced AND verdict-only paths. Any divergence
 //     prints the one-line seed repro.

@@ -1,6 +1,6 @@
-// Probe engine tests: catalog shape and determinism, strict codec rejects,
-// digest invariance across worker counts and match backends, and the
-// profile × dimension discrimination matrix over every shipped DPI profile
+// Probe engine tests: catalog shape and determinism, digest invariance
+// across worker counts and match backends, and the profile × dimension
+// discrimination matrix over every shipped DPI profile
 // (docs/fingerprinting.md).
 #include "fingerprint/probe.h"
 
@@ -40,59 +40,6 @@ TEST(ProbeCatalog, IsDeterministicAndCoversEveryDimension) {
   }
   EXPECT_EQ(a.size(), 19u);
   EXPECT_EQ(variants.size(), 10u);
-}
-
-TEST(ProbeCodec, RejectsMalformedInputs) {
-  ProbeScript s;
-  s.dimension = "d";
-  s.variant = 1;
-  s.isn = 5000;
-  s.packets.emplace_back();  // one default segment, empty payload
-  const Bytes good = encode_probe_script(s);
-  ASSERT_EQ(good.size(), 33u);  // fixed layout: header 18 + segment 15
-  ASSERT_TRUE(decode_probe_script(good).has_value());
-
-  // Bad magic.
-  Bytes bad = good;
-  bad[3] = '2';
-  EXPECT_FALSE(decode_probe_script(bad).has_value());
-  // Every proper prefix truncates some field.
-  for (std::size_t n = 0; n < good.size(); ++n) {
-    EXPECT_FALSE(decode_probe_script(BytesView(good.data(), n)).has_value())
-        << "prefix " << n;
-  }
-  // Trailing byte after a complete script.
-  bad = good;
-  bad.push_back(0);
-  EXPECT_FALSE(decode_probe_script(bad).has_value());
-  // send_syn out of bool range.
-  bad = good;
-  bad[15] = 2;
-  EXPECT_FALSE(decode_probe_script(bad).has_value());
-  // Unknown packet kind.
-  bad = good;
-  bad[18] = 2;
-  EXPECT_FALSE(decode_probe_script(bad).has_value());
-  // corrupt_tcp_checksum out of bool range.
-  bad = good;
-  bad[25] = 2;
-  EXPECT_FALSE(decode_probe_script(bad).has_value());
-  // Oversized packet count (cap 1024).
-  bad = good;
-  bad[16] = 0x05;
-  bad[17] = 0x00;
-  EXPECT_FALSE(decode_probe_script(bad).has_value());
-  // Oversized payload length (cap 65536).
-  bad = good;
-  bad[29] = 0x00;
-  bad[30] = 0x01;
-  bad[31] = 0x00;
-  bad[32] = 0x01;
-  EXPECT_FALSE(decode_probe_script(bad).has_value());
-  // Oversized dimension name (cap 256).
-  Bytes long_name = {0x41, 0x50, 0x76, 0x31, 0x01, 0x01};
-  long_name.resize(long_name.size() + 300, 'a');
-  EXPECT_FALSE(decode_probe_script(long_name).has_value());
 }
 
 TEST(ProbeEngine, DigestInvariantAcrossWorkersAndBackends) {

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -25,13 +24,6 @@
 
 namespace liberate::deploy {
 namespace {
-
-std::uint64_t campaign_iterations(std::uint64_t fallback) {
-  const char* env = std::getenv("LIBERATE_FUZZ_ITERATIONS");
-  if (!env) return fallback;
-  long long v = std::atoll(env);
-  return v > 0 ? static_cast<std::uint64_t>(v) : fallback;
-}
 
 constexpr std::uint64_t kCacheBaseSeed = 0xCAC4E;
 constexpr const char* kCorpusFile =
@@ -310,7 +302,7 @@ TEST(FuzzSmokeCache, EveryTruncationIsHandled) {
 TEST(FuzzSmokeCache, CampaignRunsCleanAndCoversEveryMutation) {
   const std::string document = corpus_document();
   ASSERT_FALSE(document.empty()) << "no corpus at " << kCorpusFile;
-  const std::uint64_t iterations = campaign_iterations(400);
+  const std::uint64_t iterations = fuzz::campaign_iterations(400);
   LoadStats stats;
   MutationCounts counts{};
   for (std::uint64_t i = 0; i < iterations; ++i) {

@@ -1,4 +1,4 @@
-// Match-program fuzz smoke: the differential campaign from src/fuzz, sized
+// Match-program fuzz smoke: the differential campaign in match_fuzz.cc, sized
 // for CI. Locally a few hundred iterations; the CI fuzz-smoke job raises
 // LIBERATE_FUZZ_ITERATIONS under ASan/UBSan, where a compiled-matcher
 // out-of-bounds read (automaton table, scratch stamps) dies loudly even when
@@ -8,17 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 namespace liberate::fuzz {
 namespace {
-
-std::uint64_t campaign_iterations(std::uint64_t fallback) {
-  const char* env = std::getenv("LIBERATE_FUZZ_ITERATIONS");
-  if (!env) return fallback;
-  long long v = std::atoll(env);
-  return v > 0 ? static_cast<std::uint64_t>(v) : fallback;
-}
 
 constexpr std::uint64_t kMatchBaseSeed = 0x3A7C4;
 

@@ -6,17 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 namespace liberate::fuzz {
 namespace {
-
-std::uint64_t campaign_iterations(std::uint64_t fallback) {
-  const char* env = std::getenv("LIBERATE_FUZZ_ITERATIONS");
-  if (!env) return fallback;
-  long long v = std::atoll(env);
-  return v > 0 ? static_cast<std::uint64_t>(v) : fallback;
-}
 
 constexpr std::uint64_t kStatefulBaseSeed = 0x57A7E;
 

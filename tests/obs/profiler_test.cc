@@ -25,7 +25,6 @@ class ProfilerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Profiler::instance().reset();
-    Profiler::instance().set_enabled(true);
     SpanLog::instance().reset();
   }
 };
@@ -139,18 +138,6 @@ TEST_F(ProfilerTest, ProfileJsonOmitsWallClockOnRequest) {
   EXPECT_NE(without.find("\"sim_us\":7"), std::string::npos);
 }
 
-TEST_F(ProfilerTest, DisabledProfilerInternsNothing) {
-  Profiler::instance().set_enabled(false);
-  std::uint64_t now = 0;
-  SimClockFn clock = [&now] { return now; };
-  {
-    ScopedSpan s("invisible", clock);
-    now += 100;
-  }
-  EXPECT_EQ(Profiler::instance().node_count(), 0u);
-  EXPECT_EQ(Profiler::current_node(), Profiler::kRootNode);
-}
-
 TEST_F(ProfilerTest, NodeCapacityOverflowCountsDrops) {
   for (int i = 0; i < 600; ++i) {
     Profiler::Token tok =
@@ -212,7 +199,6 @@ class CostLedgerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     CostLedger::instance().reset();
-    CostLedger::instance().set_enabled(true);
   }
 };
 
@@ -246,14 +232,6 @@ TEST_F(CostLedgerTest, PhasePropagatesAcrossThreads) {
   CostLedgerSnapshot snap = CostLedger::instance().snapshot();
   EXPECT_EQ(snap.at(CostPhase::kEvaluation, CostKind::kProbes), 5u);
   EXPECT_EQ(snap.at(CostPhase::kUnattributed, CostKind::kProbes), 0u);
-}
-
-TEST_F(CostLedgerTest, DisabledTicksAreDropped) {
-  CostLedger::instance().set_enabled(false);
-  CostLedger::instance().tick(CostKind::kRounds, 100);
-  CostLedger::instance().set_enabled(true);
-  CostLedgerSnapshot snap = CostLedger::instance().snapshot();
-  EXPECT_EQ(snap.kind_total(CostKind::kRounds), 0u);
 }
 
 TEST_F(CostLedgerTest, ResetZeroesEveryCell) {

@@ -1,15 +1,103 @@
-// pcapng writer/reader: the capture format must round-trip byte-exactly
-// (headers, timestamps, per-packet comments) so Wireshark and our own reader
-// agree on what was captured, and a tap's capture must export intact.
+// pcapng writer: the capture format must round-trip byte-exactly (headers,
+// timestamps, per-packet comments) through an independent reader, and a
+// tap's capture must export intact.
 #include "trace/pcapng.h"
 
 #include <gtest/gtest.h>
 
 #include "netsim/packet.h"
 #include "stack/host.h"
+#include "util/result.h"
 
 namespace liberate::trace {
 namespace {
+
+// ---------------------------------------------------------------------------
+// The round-trip oracle: a pcapng reader written from the spec, with its own
+// block constants, so a wrong constant in the writer cannot hide behind the
+// same constant in the reader. Nothing in the library reads captures.
+
+constexpr std::uint32_t kShbType = 0x0a0d0d0a;
+constexpr std::uint32_t kIdbType = 0x00000001;
+constexpr std::uint32_t kEpbType = 0x00000006;
+constexpr std::uint32_t kByteOrderMagicLe = 0x1a2b3c4d;
+constexpr std::uint16_t kLinktypeRaw = 101;
+constexpr std::uint16_t kOptEnd = 0;
+constexpr std::uint16_t kOptCommentCode = 1;
+
+std::uint16_t rd16(BytesView d, std::size_t off) {
+  return static_cast<std::uint16_t>(d[off] | (d[off + 1] << 8));
+}
+std::uint32_t rd32(BytesView d, std::size_t off) {
+  return static_cast<std::uint32_t>(d[off]) |
+         (static_cast<std::uint32_t>(d[off + 1]) << 8) |
+         (static_cast<std::uint32_t>(d[off + 2]) << 16) |
+         (static_cast<std::uint32_t>(d[off + 3]) << 24);
+}
+
+/// Parse a little-endian single-section pcapng stream whose EPBs reference
+/// interface 0; unknown block types are skipped, per the spec.
+Result<std::vector<PcapngRecord>> read_pcapng(BytesView data) {
+  if (data.size() < 12) return Error("pcapng: truncated");
+  if (rd32(data, 0) != kShbType) {
+    return Error("pcapng: missing section header block");
+  }
+  if (data.size() < 20 || rd32(data, 8) != kByteOrderMagicLe) {
+    return Error("pcapng: bad byte-order magic (or big-endian section)");
+  }
+
+  std::vector<PcapngRecord> records;
+  std::size_t off = 0;
+  bool saw_interface = false;
+  while (off + 12 <= data.size()) {
+    const std::uint32_t type = rd32(data, off);
+    const std::uint32_t total = rd32(data, off + 4);
+    if (total < 12 || total % 4 != 0 || off + total > data.size()) {
+      return Error("pcapng: bad block length");
+    }
+    if (rd32(data, off + total - 4) != total) {
+      return Error("pcapng: trailing block length mismatch");
+    }
+    BytesView body = data.subspan(off + 8, total - 12);
+
+    if (type == kIdbType) {
+      if (body.size() < 8) return Error("pcapng: short interface block");
+      if (rd16(body, 0) != kLinktypeRaw) {
+        return Error("pcapng: unsupported link type (want LINKTYPE_RAW)");
+      }
+      saw_interface = true;
+    } else if (type == kEpbType) {
+      if (!saw_interface) return Error("pcapng: packet before interface");
+      if (body.size() < 20) return Error("pcapng: short packet block");
+      const std::size_t data_end = 20 + std::size_t{rd32(body, 12)};
+      if (data_end > body.size()) return Error("pcapng: truncated packet");
+      PcapngRecord r;
+      r.at = (static_cast<std::uint64_t>(rd32(body, 4)) << 32) | rd32(body, 8);
+      r.datagram.assign(body.begin() + 20,
+                        body.begin() + static_cast<std::ptrdiff_t>(data_end));
+      // Options follow the 32-bit padded packet data.
+      std::size_t opt = data_end + ((4 - data_end % 4) % 4);
+      while (opt + 4 <= body.size()) {
+        const std::uint16_t code = rd16(body, opt);
+        const std::uint16_t len = rd16(body, opt + 2);
+        if (code == kOptEnd) break;
+        if (opt + 4 + len > body.size()) {
+          return Error("pcapng: truncated option");
+        }
+        if (code == kOptCommentCode) {
+          r.comment.assign(
+              reinterpret_cast<const char*>(body.data()) + opt + 4, len);
+        }
+        opt += 4 + std::size_t{len};
+        opt += (4 - opt % 4) % 4;
+      }
+      records.push_back(std::move(r));
+    }
+    off += total;
+  }
+  if (off != data.size()) return Error("pcapng: trailing garbage");
+  return records;
+}
 
 std::vector<PcapngRecord> sample_records() {
   std::vector<PcapngRecord> recs;

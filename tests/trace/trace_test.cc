@@ -31,29 +31,6 @@ TEST(Trace, InvertedContainsNoKeyword) {
   EXPECT_EQ(first.find("GET"), std::string::npos);
 }
 
-TEST(Trace, SerializeDeserializeRoundTrip) {
-  auto t = amazon_video_trace(32 * 1024);
-  Bytes wire = serialize_trace(t);
-  auto back = deserialize_trace(wire);
-  EXPECT_EQ(back.app_name, t.app_name);
-  EXPECT_EQ(back.transport, t.transport);
-  EXPECT_EQ(back.server_port, t.server_port);
-  ASSERT_EQ(back.messages.size(), t.messages.size());
-  for (std::size_t i = 0; i < t.messages.size(); ++i) {
-    EXPECT_EQ(back.messages[i].payload, t.messages[i].payload);
-    EXPECT_EQ(back.messages[i].sender, t.messages[i].sender);
-    EXPECT_EQ(back.messages[i].gap_us, t.messages[i].gap_us);
-  }
-}
-
-TEST(Trace, DeserializeRejectsGarbage) {
-  EXPECT_TRUE(deserialize_trace(BytesView(to_bytes("NOPE"))).app_name.empty());
-  Bytes truncated = serialize_trace(economist_trace());
-  truncated.resize(truncated.size() / 2);
-  // Must not crash; partial result acceptable but name check guards use.
-  (void)deserialize_trace(truncated);
-}
-
 TEST(Trace, ByteCounts) {
   auto t = economist_trace();
   EXPECT_GT(t.total_bytes(), t.client_bytes());
