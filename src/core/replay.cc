@@ -500,17 +500,9 @@ ReplayOutcome ReplayRunner::run_udp(const ApplicationTrace& trace,
 
 bool ReplayRunner::differentiated(const ReplayOutcome& outcome) const {
   switch (env_.signal) {
-    case dpi::Environment::Signal::kDirect: {
-      if (env_.dpi == nullptr) return false;
-      auto klass = env_.dpi->engine().active_class_now(outcome.flow,
-                                                       env_.loop.now());
-      if (!klass) return false;
-      const auto& actions = env_.dpi->config().actions;
-      auto it = actions.find(*klass);
-      if (it == actions.end()) return false;
-      const dpi::PolicyAction& a = it->second;
-      return a.block || a.zero_rate || a.throttle_bytes_per_sec.has_value();
-    }
+    case dpi::Environment::Signal::kDirect:
+      return env_.dpi != nullptr &&
+             env_.dpi->treats(outcome.flow, env_.loop.now());
     case dpi::Environment::Signal::kZeroRating:
       return outcome.usage_delta < outcome.expected_wire_bytes / 2;
     case dpi::Environment::Signal::kThroughput:

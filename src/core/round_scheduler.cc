@@ -6,23 +6,16 @@
 
 #include "dpi/profiles.h"
 #include "obs/obs.h"
+#include "util/rng.h"
 
 namespace liberate::core {
 
 namespace {
 
-/// splitmix64 step — used to derive independent seed streams from
-/// (master seed, round fingerprint).
-std::uint64_t mix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
+/// Independent seed streams from (master seed, round fingerprint).
 std::uint64_t derive_seed(std::uint64_t seed, const Fingerprint& id,
                           std::uint64_t salt) {
-  return mix(mix(seed ^ salt) ^ id.lo) ^ mix(id.hi);
+  return splitmix64(splitmix64(seed ^ salt) ^ id.lo) ^ splitmix64(id.hi);
 }
 
 void fold_trace(Digest& d, const trace::ApplicationTrace& t) {

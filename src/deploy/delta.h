@@ -17,9 +17,12 @@
 //     the merged FleetReport is byte-identical to a full-snapshot merge at
 //     any worker count and either match backend.
 //
-// Cumulative counters (not per-wave values) make the stream self-healing
-// and verifiable: values must be monotone per slot, and a delta that skips
-// a wave still reconstructs correct totals. The merger validates both.
+// Cumulative counters (not per-wave values) make the stream verifiable: the
+// merger rejects any value that is not monotone per slot. They do not make
+// it self-healing: a publisher diffs against its own previous publish, so
+// a delta that never arrives is never shipped again, and a slot that moved
+// only in that wave stays stale at the merger. Every delta must arrive,
+// in order — the in-process fleet guarantees it.
 #pragma once
 
 #include <array>

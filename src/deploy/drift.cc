@@ -2,9 +2,30 @@
 
 #include <algorithm>
 
+#include "dpi/profiles.h"
 #include "obs/obs.h"
 
 namespace liberate::deploy {
+
+void WaveStats::score(const FlowOutcome& flow, dpi::Environment& env) {
+  const bool done = flow.delivered && !flow.reset;
+  ++flows;
+  if (!done) ++incomplete;
+  if (flow.reset) ++blocked;
+  if (flow.completed_at && !flow.reset &&
+      *flow.completed_at >= flow.started_at) {
+    const std::uint64_t lat_us = *flow.completed_at - flow.started_at;
+    latency_us_sum += lat_us;
+    ++latency_samples;
+    LIBERATE_HDR_RECORD("fleet.flow_latency_us", lat_us);
+  }
+  if (!flow.tuple) return;
+  const bool direct =
+      env.signal == dpi::Environment::Signal::kDirect && env.dpi != nullptr;
+  if (direct ? env.dpi->treats(*flow.tuple, env.loop.now()) : !done) {
+    ++differentiated;
+  }
+}
 
 const char* drift_kind_name(DriftKind kind) {
   switch (kind) {

@@ -15,7 +15,23 @@
 #include <cstdint>
 #include <optional>
 
+#include "netsim/packet.h"
+
+namespace liberate::dpi {
+struct Environment;
+}
+
 namespace liberate::deploy {
+
+/// What one flow showed by the end of its wave.
+struct FlowOutcome {
+  /// The flow's tuple; empty when it never opened a connection.
+  std::optional<netsim::FiveTuple> tuple;
+  bool reset = false;      // the client saw an RST
+  bool delivered = false;  // every expected byte arrived
+  std::uint64_t started_at = 0;  // sim-clock microseconds
+  std::optional<std::uint64_t> completed_at;
+};
 
 /// Per-wave observed treatment, merged across shards.
 struct WaveStats {
@@ -30,26 +46,23 @@ struct WaveStats {
   std::uint64_t latency_us_sum = 0;
   std::size_t latency_samples = 0;
 
-  double differentiated_rate() const {
-    return flows == 0 ? 0.0
-                      : static_cast<double>(differentiated) /
-                            static_cast<double>(flows);
-  }
-  double blocked_rate() const {
-    return flows == 0
-               ? 0.0
-               : static_cast<double>(blocked) / static_cast<double>(flows);
-  }
-  double incomplete_rate() const {
-    return flows == 0
-               ? 0.0
-               : static_cast<double>(incomplete) / static_cast<double>(flows);
-  }
+  // Rates read 0, never NaN, when nothing was counted (a shard can admit
+  // zero flows in a wave).
+  double differentiated_rate() const { return ratio(differentiated, flows); }
+  double blocked_rate() const { return ratio(blocked, flows); }
+  double incomplete_rate() const { return ratio(incomplete, flows); }
   double mean_latency_us() const {
-    return latency_samples == 0 ? 0.0
-                                : static_cast<double>(latency_us_sum) /
-                                      static_cast<double>(latency_samples);
+    return ratio(latency_us_sum, latency_samples);
   }
+  static double ratio(std::uint64_t n, std::uint64_t d) {
+    return d == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(d);
+  }
+
+  /// Score one flow, in either flow mode. Differentiated is the direct
+  /// signal when `env` has one (DpiMiddlebox::treats, as ReplayRunner
+  /// scores rounds), else the wire evidence of an incomplete flow; a flow
+  /// that never opened is never differentiated.
+  void score(const FlowOutcome& flow, dpi::Environment& env);
 
   WaveStats& operator+=(const WaveStats& o) {
     flows += o.flows;
@@ -138,7 +151,6 @@ class DriftMonitor {
   bool has_baseline() const { return have_baseline_; }
   const WaveStats& baseline() const { return baseline_; }
   int suspect_streak() const { return suspect_streak_; }
-  std::size_t waves_observed() const { return waves_observed_; }
 
  private:
   std::optional<DriftKind> classify(const WaveStats& wave) const;

@@ -138,6 +138,14 @@ Fingerprint characterization_digest(
   return d.finish();
 }
 
+void rank_first(std::vector<RankedTechnique>& ranking,
+                const std::string& name) {
+  auto it = std::find_if(
+      ranking.begin(), ranking.end(),
+      [&](const RankedTechnique& r) { return r.name == name; });
+  if (it != ranking.end()) std::rotate(ranking.begin(), it, it + 1);
+}
+
 CachedCharacterization make_cached_characterization(
     const std::string& environment, const std::string& app,
     const core::SessionReport& report) {
@@ -172,13 +180,7 @@ CachedCharacterization make_cached_characterization(
   // The selected technique won the original evaluation; pin it to the front
   // even if a cost tie would sort another first.
   if (report.selected_technique) {
-    auto it = std::find_if(entry.ranking.begin(), entry.ranking.end(),
-                           [&](const RankedTechnique& r) {
-                             return r.name == *report.selected_technique;
-                           });
-    if (it != entry.ranking.end()) {
-      std::rotate(entry.ranking.begin(), it, it + 1);
-    }
+    rank_first(entry.ranking, *report.selected_technique);
   }
   return entry;
 }

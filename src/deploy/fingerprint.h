@@ -68,6 +68,10 @@ struct CachedCharacterization {
 /// is exactly as reusable as this digest is stable.
 Fingerprint characterization_digest(const core::CharacterizationReport& report);
 
+/// Move the technique named `name` to the front of `ranking`, keeping the
+/// rest in order. No-op when `name` is not ranked.
+void rank_first(std::vector<RankedTechnique>& ranking, const std::string& name);
+
 /// Build a cache entry from a finished analysis (ranking = evaded outcomes
 /// sorted by core::cheaper()).
 CachedCharacterization make_cached_characterization(

@@ -13,6 +13,7 @@
 #include "obs/timeseries.h"
 #endif
 #include "stack/host.h"
+#include "util/rng.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -37,18 +38,12 @@ constexpr std::uint32_t kServerIp = 0xc6336414;  // 198.51.100.20
 constexpr Duration kFlowStagger = netsim::milliseconds(5);
 constexpr double kWaveSlackSeconds = 30.0;
 
-// splitmix64 finalizer: decorrelates per-shard seeds derived from the fleet
-// seed (same construction as the round scheduler's world seeds).
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
+// Per-shard seeds derived from the fleet seed, decorrelated by splitmix64
+// (same construction as the round scheduler's world seeds).
 std::uint64_t shard_seed(std::uint64_t fleet_seed, std::size_t index,
                         std::uint64_t salt) {
-  return mix(fleet_seed ^ mix(static_cast<std::uint64_t>(index + 1)) ^ salt);
+  return splitmix64(fleet_seed ^
+                    splitmix64(static_cast<std::uint64_t>(index + 1)) ^ salt);
 }
 
 /// Shard-affine admission: a flow's shard is a pure hash of its global flow
@@ -57,8 +52,8 @@ std::uint64_t shard_seed(std::uint64_t fleet_seed, std::size_t index,
 /// shard's world — and the assignment is identical at any worker count.
 std::size_t admit_shard(std::uint64_t fleet_seed, std::uint64_t global_flow,
                         std::size_t shards) {
-  return static_cast<std::size_t>(mix(global_flow ^ mix(fleet_seed ^ 0xADF17ull)) %
-                                  shards);
+  return static_cast<std::size_t>(
+      splitmix64(global_flow ^ splitmix64(fleet_seed ^ 0xADF17ull)) % shards);
 }
 
 Bytes concat_payload(const ApplicationTrace& trace, Sender sender) {
@@ -68,6 +63,115 @@ Bytes concat_payload(const ApplicationTrace& trace, Sender sender) {
     out.insert(out.end(), m.payload.begin(), m.payload.end());
   }
   return out;
+}
+
+/// Wave boundaries sit one virtual second apart on the telemetry clock.
+std::uint64_t wave_ts_us(std::size_t wave) {
+  return static_cast<std::uint64_t>(wave) * 1'000'000u;
+}
+
+/// Anomaly detector settings for the merged per-wave series. The deviation
+/// floor is raised above the library default because these series live on
+/// [0,1]-ish scales with real FaultyLink noise: a burst has to clear both
+/// the drift slack AND a 3-sigma move past this floor before it can
+/// corroborate.
+obs::AnomalyConfig fleet_anomaly_config() {
+  obs::AnomalyConfig cfg;
+  cfg.min_deviation = 0.05;
+  return cfg;
+}
+
+/// Full-stack mode: one flow's connection and what it has seen so far.
+struct FlowSlot {
+  TcpConnection* conn = nullptr;
+  std::size_t client_rx = 0;
+  std::size_t server_rx = 0;
+  bool server_replied = false;
+  FlowOutcome out;  // tuple, reset and latency stamps; scored at wave end
+};
+
+/// Full-stack mode: one wave's payloads and flows. Shared_ptr-held:
+/// connection callbacks installed for the wave can outlive it (a
+/// FaultyLink-delayed segment may arrive after the wave deadline), and
+/// connections persist on the hosts.
+struct FullStackWave {
+  Bytes client_payload;
+  Bytes server_payload;
+  std::uint16_t wave_base = 0;  // client port of flow 0
+  std::vector<FlowSlot> slots;
+
+  /// Every expected byte arrived: the full response, or the full request
+  /// for upload-only traces.
+  bool delivered(const FlowSlot& s) const {
+    return server_payload.empty() ? s.server_rx >= client_payload.size()
+                                  : s.client_rx >= server_payload.size();
+  }
+};
+
+/// Full-stack mode: open a wave's flows. The persistent server host gets a
+/// per-wave listener that answers every accepted connection's full request
+/// with the full response; client connections start kFlowStagger apart.
+void open_flows(netsim::EventLoop& loop, Host& client, Host& server,
+                std::uint16_t server_port,
+                const std::shared_ptr<FullStackWave>& wd) {
+  const std::size_t client_total = wd->client_payload.size();
+  const std::size_t server_total = wd->server_payload.size();
+  const std::uint16_t wave_base = wd->wave_base;
+  netsim::EventLoop* loop_ptr = &loop;
+  server.tcp_unlisten(server_port);
+  server.tcp_listen(
+      server_port, [wd, wave_base, client_total, server_total,
+                    loop_ptr](TcpConnection& c) {
+        // Remote port identifies the slot (tuple() is local -> remote).
+        const std::uint16_t remote = c.tuple().dst_port;
+        if (remote < wave_base ||
+            static_cast<std::size_t>(remote - wave_base) >= wd->slots.size()) {
+          return;  // straggler from an earlier wave
+        }
+        const std::size_t idx = remote - wave_base;
+        c.on_data([wd, idx, &c, client_total, server_total,
+                   loop_ptr](BytesView data) {
+          FlowSlot& slot = wd->slots[idx];
+          slot.server_rx += data.size();
+          if (!slot.server_replied && slot.server_rx >= client_total &&
+              server_total > 0) {
+            slot.server_replied = true;
+            c.send(BytesView(wd->server_payload));
+          }
+          // Upload-only traces: the flow is complete once the server has the
+          // full request.
+          if (!slot.out.completed_at && server_total == 0 &&
+              slot.server_rx >= client_total) {
+            slot.out.completed_at = loop_ptr->now();
+          }
+        });
+      });
+
+  Host* client_ptr = &client;
+  for (std::size_t f = 0; f < wd->slots.size(); ++f) {
+    loop.schedule(
+        static_cast<Duration>(f) * kFlowStagger,
+        [wd, f, client_ptr, server_port, wave_base, server_total, loop_ptr]() {
+          FlowSlot& slot = wd->slots[f];
+          slot.out.started_at = loop_ptr->now();
+          TcpConnection& conn = client_ptr->tcp_connect(
+              kServerIp, server_port,
+              static_cast<std::uint16_t>(wave_base + f));
+          slot.conn = &conn;
+          slot.out.tuple = conn.tuple();
+          conn.on_reset([wd, f] { wd->slots[f].out.reset = true; });
+          conn.on_data([wd, f, server_total, loop_ptr](BytesView d) {
+            FlowSlot& slot = wd->slots[f];
+            slot.client_rx += d.size();
+            if (!slot.out.completed_at && server_total > 0 &&
+                slot.client_rx >= server_total) {
+              slot.out.completed_at = loop_ptr->now();
+            }
+          });
+          conn.on_established(
+              [wd, &conn] { conn.send(BytesView(wd->client_payload)); });
+        });
+  }
 }
 
 }  // namespace
@@ -104,6 +208,35 @@ struct FleetEngine::Shard {
     return faulty->dropped() + faulty->duplicated() + faulty->truncated() +
            faulty->corrupted() + faulty->reordered();
   }
+};
+
+/// One run()'s control-plane state, threaded through its stages. Touched
+/// only on the control thread.
+struct FleetEngine::Run {
+  Run(const ApplicationTrace& t, std::size_t shards)
+      : trace(t), merger(shards) {}
+
+  const ApplicationTrace& trace;
+  FleetReport report;
+  /// Ambiguity probing (opt-in; empty hooks skip the ladder's stage): one
+  /// hook serves the deploy-time digest and the fingerprint-verify stage.
+  ReadaptHooks hooks;
+  /// The deployed characterization, and the technique every shim runs.
+  CachedCharacterization current;
+  std::string technique;
+  DriftMonitor monitor;
+  AdaptationPolicy policy;
+  /// Anomaly detectors over the merged per-wave series. Deliberately plain
+  /// (non-obs-gated) state: a flag corroborates the DriftMonitor, which
+  /// shapes the FLEET summary — control flow must be identical at every
+  /// obs level, worker count, and match backend.
+  std::map<std::string, obs::AnomalyDetector> detectors;
+  /// The merge point: shard publishes are sparse deltas, and the merger
+  /// reconstructs per-wave stats from the cumulative stream exactly
+  /// (delta_test pins this against dense publishes).
+  DeltaMerger merger;
+  std::unique_ptr<ThreadPool> pool;  // null: shards run serially
+  Bytes packet_payload;              // packet-level mode: every flow's upload
 };
 
 FleetEngine::FleetEngine(FleetOptions options) : options_(std::move(options)) {
@@ -186,6 +319,9 @@ FleetDelta FleetEngine::run_wave(Shard& shard, const ApplicationTrace& trace,
       shard.shim->packets_injected();
   shard.counters[ShardCounter::kPacketsRewritten] =
       shard.shim->packets_rewritten();
+  LIBERATE_COUNTER_ADD("deploy.fleet.flows", stats.flows);
+  LIBERATE_COUNTER_ADD("deploy.fleet.flows_differentiated",
+                       stats.differentiated);
 
   LIBERATE_OBS_EVENT(
       static_cast<std::uint64_t>(shard.env->loop.now()), "deploy", "wave_done",
@@ -204,222 +340,113 @@ WaveStats FleetEngine::run_wave_full_stack(Shard& shard,
                                            const ApplicationTrace& trace,
                                            std::size_t admitted) {
   netsim::EventLoop& loop = shard.env->loop;
-
-  struct FlowSlot {
-    TcpConnection* conn = nullptr;
-    std::size_t client_rx = 0;
-    std::size_t server_rx = 0;
-    bool server_replied = false;
-    bool reset = false;
-    // Flow latency bookkeeping (plain fields, not obs-gated: latency feeds
-    // WaveStats and the anomaly detector, which are control-plane inputs).
-    TimePoint started_at = 0;
-    TimePoint completed_at = 0;
-    bool completed = false;
-  };
-  // Wave state is shared_ptr-held: connection callbacks installed here can
-  // outlive this frame (a FaultyLink-delayed segment may arrive after the
-  // wave deadline), and connections persist on the hosts.
-  struct WaveData {
-    Bytes client_payload;
-    Bytes server_payload;
-    std::vector<FlowSlot> slots;
-  };
-  auto wd = std::make_shared<WaveData>();
+  auto wd = std::make_shared<FullStackWave>();
   wd->client_payload = concat_payload(trace, Sender::kClient);
   wd->server_payload = concat_payload(trace, Sender::kServer);
-  const std::size_t client_total = wd->client_payload.size();
-  const std::size_t server_total = wd->server_payload.size();
-  const std::size_t flows = admitted;
-  wd->slots.resize(flows);
-  const std::uint16_t wave_base = static_cast<std::uint16_t>(
-      shard.port_base + (shard.flow_serial % 2000));
-  shard.flow_serial += flows;
-
-  // Persistent server host, per-wave listener: every accepted connection
-  // accumulates the request and answers with the full response.
-  netsim::EventLoop* loop_ptr = &loop;
-  shard.server->tcp_unlisten(trace.server_port);
-  shard.server->tcp_listen(
-      trace.server_port, [wd, wave_base, client_total, server_total,
-                          loop_ptr](TcpConnection& c) {
-        // Remote port identifies the slot (tuple() is local -> remote).
-        const std::uint16_t remote = c.tuple().dst_port;
-        if (remote < wave_base ||
-            static_cast<std::size_t>(remote - wave_base) >= wd->slots.size()) {
-          return;  // straggler from an earlier wave
-        }
-        const std::size_t idx = remote - wave_base;
-        c.on_data([wd, idx, &c, client_total, server_total,
-                   loop_ptr](BytesView data) {
-          FlowSlot& slot = wd->slots[idx];
-          slot.server_rx += data.size();
-          if (!slot.server_replied && slot.server_rx >= client_total &&
-              server_total > 0) {
-            slot.server_replied = true;
-            c.send(BytesView(wd->server_payload));
-          }
-          // Upload-only traces: the flow is complete once the server has the
-          // full request.
-          if (!slot.completed && server_total == 0 &&
-              slot.server_rx >= client_total) {
-            slot.completed = true;
-            slot.completed_at = loop_ptr->now();
-          }
-        });
-      });
-
-  Shard* shard_ptr = &shard;
-  const std::uint16_t server_port = trace.server_port;
-  for (std::size_t f = 0; f < flows; ++f) {
-    loop.schedule(
-        static_cast<Duration>(f) * kFlowStagger,
-        [wd, f, shard_ptr, server_port, wave_base, server_total, loop_ptr]() {
-          FlowSlot& slot = wd->slots[f];
-          slot.started_at = loop_ptr->now();
-          TcpConnection& conn = shard_ptr->client->tcp_connect(
-              kServerIp, server_port,
-              static_cast<std::uint16_t>(wave_base + f));
-          slot.conn = &conn;
-          conn.on_reset([wd, f] { wd->slots[f].reset = true; });
-          conn.on_data([wd, f, server_total, loop_ptr](BytesView d) {
-            FlowSlot& slot = wd->slots[f];
-            slot.client_rx += d.size();
-            if (!slot.completed && server_total > 0 &&
-                slot.client_rx >= server_total) {
-              slot.completed = true;
-              slot.completed_at = loop_ptr->now();
-            }
-          });
-          conn.on_established(
-              [wd, &conn] { conn.send(BytesView(wd->client_payload)); });
-        });
-  }
-
-  auto flow_done = [&](const FlowSlot& s) {
-    if (s.reset) return true;
-    return server_total > 0 ? s.client_rx >= server_total
-                            : s.server_rx >= client_total;
-  };
-  std::vector<FlowSlot>& slots = wd->slots;
+  wd->wave_base = static_cast<std::uint16_t>(shard.port_base +
+                                             (shard.flow_serial % 2000));
+  wd->slots.resize(admitted);
+  shard.flow_serial += admitted;
+  open_flows(loop, *shard.client, *shard.server, trace.server_port, wd);
 
   // Virtual-time budget: transfer under the profile's shaping rate plus the
   // stagger tail plus configured slack.
-  const double wave_bytes = static_cast<double>(client_total + server_total) *
-                            static_cast<double>(flows);
+  const double wave_bytes =
+      static_cast<double>(wd->client_payload.size() +
+                          wd->server_payload.size()) *
+      static_cast<double>(admitted);
   const double budget_s =
       kWaveSlackSeconds +
-      netsim::to_seconds(kFlowStagger) * static_cast<double>(flows) +
+      netsim::to_seconds(kFlowStagger) * static_cast<double>(admitted) +
       wave_bytes * 8.0 / 1.0e6;
   const TimePoint deadline =
       loop.now() + static_cast<Duration>(budget_s * 1e6);
+  auto flow_done = [&](const FlowSlot& s) {
+    return s.out.reset || wd->delivered(s);
+  };
   while (loop.now() < deadline) {
-    if (std::all_of(slots.begin(), slots.end(), flow_done)) break;
+    if (std::all_of(wd->slots.begin(), wd->slots.end(), flow_done)) break;
     loop.run_for(netsim::milliseconds(200));
   }
 
   WaveStats stats;
-  stats.flows = flows;
-  for (const FlowSlot& slot : slots) {
-    const bool done = flow_done(slot) && !slot.reset;
-    if (!done) ++stats.incomplete;
-    if (slot.reset) ++stats.blocked;
-    if (slot.completed && !slot.reset && slot.completed_at >= slot.started_at) {
-      const std::uint64_t lat_us =
-          static_cast<std::uint64_t>(slot.completed_at - slot.started_at);
-      stats.latency_us_sum += lat_us;
-      ++stats.latency_samples;
-      LIBERATE_HDR_RECORD("fleet.flow_latency_us", lat_us);
-    }
-    if (slot.conn == nullptr) continue;
-    // Treatment check mirrors ReplayRunner::differentiated for the direct
-    // signal; indirect signals fall back to the wire evidence.
-    bool differentiated = false;
-    if (shard.env->signal == dpi::Environment::Signal::kDirect &&
-        shard.env->dpi != nullptr) {
-      auto klass = shard.env->dpi->engine().active_class_now(
-          slot.conn->tuple(), loop.now());
-      if (klass) {
-        const auto& actions = shard.env->dpi->config().actions;
-        auto it = actions.find(*klass);
-        differentiated =
-            it != actions.end() &&
-            (it->second.block || it->second.zero_rate ||
-             it->second.throttle_bytes_per_sec.has_value());
-      }
-    } else {
-      differentiated = slot.reset || !done;
-    }
-    if (differentiated) ++stats.differentiated;
+  for (FlowSlot& slot : wd->slots) {
+    slot.out.delivered = wd->delivered(slot);
+    stats.score(slot.out, *shard.env);
   }
 
   // Retire the wave: abort anything still open so lost-segment retransmit
   // timers don't bleed into the next wave, then drain briefly. Verdicts are
   // already collected — the RST-triggered classifier flush can't skew them.
-  for (FlowSlot& slot : slots) {
+  for (FlowSlot& slot : wd->slots) {
     if (slot.conn != nullptr &&
         slot.conn->state() != TcpConnection::State::kClosed) {
       slot.conn->abort();
     }
   }
   loop.run_for(seconds(5));
-
-  LIBERATE_COUNTER_ADD("deploy.fleet.flows", stats.flows);
-  LIBERATE_COUNTER_ADD("deploy.fleet.flows_differentiated",
-                       stats.differentiated);
   return stats;
 }
 
 FleetReport FleetEngine::run(const ApplicationTrace& trace) {
-  FleetReport report;
-  report.environment = options_.environment;
-  report.app = trace.app_name;
-  report.shards = shards_.size();
+  Run run(trace, shards_.size());
+  run.report.environment = options_.environment;
+  run.report.app = trace.app_name;
+  run.report.shards = shards_.size();
 
-  core::ReplayRunner& runner = lib_->runner();
+  characterize(run);
+  prepare_waves(run);
+  for (std::size_t wave = 0; wave < options_.waves; ++wave) {
+    const std::vector<std::size_t> admitted = admit(wave);
+    FleetWaveReport wr = merge(run, wave, drive(run, wave, admitted));
+    sample(run, wr);
+    detect(run, wr);
+    adapt(run, wr);
+    wr.state_after = run.policy.state();
+    wr.technique_after = run.technique;
+    if (options_.on_wave) options_.on_wave(wr);
+    run.report.waves.push_back(std::move(wr));
+  }
+  return finish(run);
+}
 
-  // Ambiguity probing (opt-in): one EnvFactory serves both the deploy-time
-  // digest and the readapt ladder's fingerprint-verify stage. Probe worlds
-  // are built fresh from the profile name and then replay the epoch log of
-  // scripted classifier changes, so a probe always sees the same classifier
-  // the live shards do.
-  fingerprint::EnvFactory probe_factory;
-  ReadaptHooks hooks;
+void FleetEngine::characterize(Run& run) {
+  FleetReport& report = run.report;
+  const ApplicationTrace& trace = run.trace;
+  CachedCharacterization& current = run.current;
+  std::optional<fingerprint::AmbiguityDigest> active_digest;
   if (options_.ambiguity_probes) {
-    probe_factory = [this](std::uint64_t seed) {
-      auto env = dpi::make_environment(options_.environment, seed);
-      for (const auto& change : applied_changes_) change(*env);
-      return env;
-    };
-    hooks.probe_ambiguity = [this, &probe_factory] {
+    run.hooks.probe_ambiguity = [this] {
+      // Probe worlds are built fresh from the profile name and then replay
+      // the epoch log of scripted classifier changes, so a probe always
+      // sees the same classifier the live shards do.
       fingerprint::AmbiguityProbeOptions popts;
       popts.workers = options_.workers == 0 ? 1 : options_.workers;
       popts.seed = options_.seed;
-      return fingerprint::probe_ambiguity(probe_factory, popts);
+      return fingerprint::probe_ambiguity(
+          [this](std::uint64_t seed) {
+            auto env = dpi::make_environment(options_.environment, seed);
+            for (const auto& change : applied_changes_) change(*env);
+            return env;
+          },
+          popts);
     };
-    hooks.max_distance = options_.ambiguity_max_distance;
-  }
-
-  // Phase 1: characterization — warm cache entry, nearest ambiguity
-  // fingerprint, or full analysis.
-  CachedCharacterization current;
-  std::optional<fingerprint::AmbiguityDigest> active_digest;
-  if (options_.ambiguity_probes) {
-    fingerprint::AmbiguityProbeResult probed = hooks.probe_ambiguity();
+    run.hooks.max_distance = options_.ambiguity_max_distance;
+    fingerprint::AmbiguityProbeResult probed = run.hooks.probe_ambiguity();
     report.fingerprint_probe_flows += probed.probe_flows;
     report.fingerprint_digest = probed.digest.fingerprint_hex();
     report.fingerprint_dims = probed.digest.dims.size();
     active_digest = std::move(probed.digest);
   }
+
+  // Warm cache entry, nearest ambiguity fingerprint, or full analysis.
   const CachedCharacterization* warm =
       options_.cache != nullptr
           ? options_.cache->lookup(options_.environment, trace.app_name)
           : nullptr;
-  bool characterized = false;
   if (warm != nullptr && !warm->ranking.empty()) {
     current = *warm;
     report.initial_from_cache = true;
-    characterized = true;
     if (options_.ambiguity_probes) {
       report.fingerprint_source = "exact";
       report.fingerprint_profile = warm->environment;
@@ -437,10 +464,10 @@ FleetReport FleetEngine::run(const ApplicationTrace& trace) {
       current = *match;
       current.environment = options_.environment;
       report.initial_from_cache = true;
-      characterized = true;
     }
   }
-  if (!characterized) {
+  if (!report.initial_from_cache) {
+    core::ReplayRunner& runner = lib_->runner();
     const int r0 = runner.rounds();
     const std::uint64_t b0 = runner.bytes_offered();
     core::SessionReport analysis = lib_->analyze(trace);
@@ -458,286 +485,240 @@ FleetReport FleetEngine::run(const ApplicationTrace& trace) {
     if (options_.cache != nullptr) options_.cache->store(current);
   }
 
-  std::string technique =
+  run.technique =
       current.ranking.empty() ? std::string() : current.ranking.front().name;
-  report.technique_initial = technique;
-  swap_technique(technique, current);
+  report.technique_initial = run.technique;
+  swap_technique(run.technique, current);
+}
 
-  // Phase 2: waves under drift monitoring.
-  DriftMonitor monitor;
-  AdaptationPolicy policy;
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.workers > 0) pool = std::make_unique<ThreadPool>(options_.workers);
-
-  // Anomaly detectors over the merged per-wave series. Deliberately plain
-  // (non-obs-gated) state: a flag corroborates the DriftMonitor, which
-  // shapes the FLEET summary — control flow must be identical at every obs
-  // level, worker count, and match backend. The deviation floor is raised
-  // above the library default because these series live on [0,1]-ish
-  // scales with real FaultyLink noise: a burst has to clear both the drift
-  // slack AND a 3-sigma move past this floor before it can corroborate.
-  obs::AnomalyConfig anomaly_cfg;
-  anomaly_cfg.min_deviation = 0.05;
-  std::map<std::string, obs::AnomalyDetector> detectors;
-
+void FleetEngine::prepare_waves(Run& run) {
+  if (options_.workers > 0) {
+    run.pool = std::make_unique<ThreadPool>(options_.workers);
+  }
+  if (options_.flow_mode != FlowMode::kPacketLevel) return;
   // Packet-level mode: build each shard's crafted-flow driver now that the
   // trace (and so the server port) is known. Client address blocks are
   // disjoint per shard, tuples never repeat across waves.
-  Bytes packet_payload;
-  if (options_.flow_mode == FlowMode::kPacketLevel) {
-    packet_payload = concat_payload(trace, Sender::kClient);
-    for (auto& shard : shards_) {
-      if (shard->driver != nullptr) continue;
-      PacketFlowConfig cfg;
-      cfg.client_ip_base =
-          0x0a000000u + static_cast<std::uint32_t>(shard->index + 1) * 0x10000u;
-      cfg.server_ip = kServerIp;
-      cfg.server_port = trace.server_port;
-      cfg.segment_bytes = options_.packet_segment_bytes;
-      shard->driver = std::make_unique<PacketFlowDriver>(
-          *shard->env, *shard->shim, cfg);
-      shard->shim->reserve_flows(options_.flows_per_wave * 2);
-    }
+  run.packet_payload = concat_payload(run.trace, Sender::kClient);
+  for (auto& shard : shards_) {
+    if (shard->driver != nullptr) continue;
+    PacketFlowConfig cfg;
+    cfg.client_ip_base =
+        0x0a000000u + static_cast<std::uint32_t>(shard->index + 1) * 0x10000u;
+    cfg.server_ip = kServerIp;
+    cfg.server_port = run.trace.server_port;
+    cfg.segment_bytes = options_.packet_segment_bytes;
+    shard->driver =
+        std::make_unique<PacketFlowDriver>(*shard->env, *shard->shim, cfg);
+    shard->shim->reserve_flows(options_.flows_per_wave * 2);
+  }
+}
+
+std::vector<std::size_t> FleetEngine::admit(std::size_t wave) {
+  if (wave == options_.change_at_wave && options_.classifier_change) {
+    // Applied at a quiet wave boundary: shard loops are idle, so no
+    // in-flight walk holds a path index (emplace_at's precondition).
+    for (auto& shard : shards_) options_.classifier_change(*shard->env);
+    options_.classifier_change(*probe_env_);
+    applied_changes_.push_back(options_.classifier_change);
   }
 
-  // The merge point: shard publishes are sparse deltas, and the merger
-  // reconstructs per-wave stats from the cumulative stream exactly
-  // (delta_test pins this against dense publishes).
-  DeltaMerger merger(shards_.size());
+  // Shard-affine admission: hash every global flow id of this wave to its
+  // shard on the control thread, so the assignment (and each shard's
+  // count) is a pure function of (seed, wave) at any worker count.
   const std::size_t wave_total = options_.flows_per_wave * shards_.size();
-
-  for (std::size_t wave = 0; wave < options_.waves; ++wave) {
-    if (wave == options_.change_at_wave && options_.classifier_change) {
-      // Applied at a quiet wave boundary: shard loops are idle, so no
-      // in-flight walk holds a path index (emplace_at's precondition).
-      for (auto& shard : shards_) options_.classifier_change(*shard->env);
-      options_.classifier_change(*probe_env_);
-      applied_changes_.push_back(options_.classifier_change);
-    }
-
-    // Shard-affine admission: hash every global flow id of this wave to its
-    // shard on the control thread, so the assignment (and each shard's
-    // count) is a pure function of (seed, wave) at any worker count.
-    std::vector<std::size_t> admitted(shards_.size(), 0);
-    for (std::size_t k = 0; k < wave_total; ++k) {
-      const std::uint64_t global_flow =
-          static_cast<std::uint64_t>(wave) * wave_total + k;
-      ++admitted[admit_shard(options_.seed, global_flow, shards_.size())];
-    }
-
-    std::vector<FleetDelta> published(shards_.size());
-    const BytesView packet_payload_view(packet_payload);
-    if (pool != nullptr) {
-      std::vector<std::future<FleetDelta>> futures;
-      futures.reserve(shards_.size());
-      for (auto& shard : shards_) {
-        Shard* s = shard.get();
-        const std::size_t n = admitted[s->index];
-        futures.push_back(pool->submit(
-            LIBERATE_OBS_PROPAGATE([this, s, &trace, wave, n,
-                                    packet_payload_view] {
-              return run_wave(*s, trace, wave, n, packet_payload_view);
-            })));
-      }
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        published[i] = futures[i].get();  // shard order: deterministic merge
-      }
-    } else {
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        published[i] = run_wave(*shards_[i], trace, wave, admitted[i],
-                                packet_payload_view);
-      }
-    }
-
-    // Fold the publishes in shard order; each apply reconstructs that
-    // shard's per-wave stats exactly from the cumulative stream.
-    std::vector<WaveStats> per_shard(shards_.size());
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      merger.apply(published[i], &per_shard[i]);
-    }
-
-    FleetWaveReport wr;
-    wr.wave = wave;
-    for (const WaveStats& s : per_shard) wr.stats += s;
-    report.totals += wr.stats;
-    wr.shard_stats = std::move(per_shard);
-
-    const std::uint64_t ts_us = static_cast<std::uint64_t>(wave) * 1'000'000u;
-
-    // Telemetry hub sampling: per-shard series points plus a registry tick.
-    // Compiled away at obs level 0. All timestamps are the wave's sim-clock
-    // boundary, so identical runs produce identical series.
-    for (std::size_t i = 0; i < wr.shard_stats.size(); ++i) {
-      [[maybe_unused]] const WaveStats& s = wr.shard_stats[i];
-      LIBERATE_TS_SAMPLE("fleet.diff_rate", i, ts_us,
-                         s.differentiated_rate());
-      LIBERATE_TS_SAMPLE("fleet.blocked_rate", i, ts_us, s.blocked_rate());
-      LIBERATE_TS_SAMPLE("fleet.incomplete_rate", i, ts_us,
-                         s.incomplete_rate());
-      LIBERATE_TS_SAMPLE("fleet.latency_us", i, ts_us, s.mean_latency_us());
-      // Per-wave fault/eviction movement, straight off the merged delta
-      // stream (the merger keeps each shard's previous publish).
-      LIBERATE_TS_SAMPLE(
-          "fleet.faults", i, ts_us,
-          merger.wave_delta(i, ShardCounter::kFaultsInjected));
-      LIBERATE_TS_SAMPLE("fleet.evicted", i, ts_us,
-                         merger.wave_delta(i, ShardCounter::kFlowsEvicted));
-      // Open-addressing occupancy of the shard's shim table. Read on the
-      // control thread at the wave boundary (shard loops are idle).
-      LIBERATE_TS_SAMPLE("fleet.flow_table_load", i, ts_us,
-                         shards_[i]->shim->flow_table_load());
-    }
-    LIBERATE_TS_SAMPLE("fleet.diff_rate", -1, ts_us,
-                       wr.stats.differentiated_rate());
-    LIBERATE_TS_SAMPLE("fleet.blocked_rate", -1, ts_us,
-                       wr.stats.blocked_rate());
-    LIBERATE_TS_SAMPLE("fleet.incomplete_rate", -1, ts_us,
-                       wr.stats.incomplete_rate());
-    LIBERATE_TS_SAMPLE("fleet.latency_us", -1, ts_us,
-                       wr.stats.mean_latency_us());
-    LIBERATE_TS_TICK(ts_us, {"deploy.", "dpi.", "netsim.", "stack.",
-                             "core."});
-
-    // Anomaly pass: robust z-scores over the merged series. A flagged
-    // detector on a rate-suspect wave corroborates drift (the monitor
-    // confirms one wave sooner); a flag on a clean wave only annotates.
-    const std::pair<const char*, double> series_points[] = {
-        {"blocked_rate", wr.stats.blocked_rate()},
-        {"diff_rate", wr.stats.differentiated_rate()},
-        {"incomplete_rate", wr.stats.incomplete_rate()},
-        {"latency_ms", wr.stats.mean_latency_us() / 1000.0},
-    };
-    for (const auto& [series, x] : series_points) {
-      auto det =
-          detectors.try_emplace(series, obs::AnomalyDetector(anomaly_cfg))
-              .first;
-      obs::AnomalyVerdict v = det->second.observe(x);
-      if (v.flagged) {
-        wr.anomalies.push_back(series);
-        LIBERATE_OBS_EVENT(ts_us, "obs", "anomaly", obs::fv("series", series),
-                           obs::fv("wave", static_cast<std::uint64_t>(wave)));
-      }
-    }
-    wr.corroborated = !wr.anomalies.empty();
-
-    std::optional<DriftSignal> signal =
-        monitor.observe(wr.stats, wr.corroborated);
-    wr.signal = signal;
-
-    if (signal) {
-      if (policy.state() == DeployState::kDeployed ||
-          policy.state() == DeployState::kReDeployed) {
-        policy.transition(DeployState::kSuspect, wave, "drift-suspect", ts_us);
-      }
-      policy.transition(
-          DeployState::kReVerifying, wave,
-          format("drift:%s", drift_kind_name(signal->kind)), ts_us);
-
-      const int rr0 = runner.rounds();
-      const std::uint64_t rb0 = runner.bytes_offered();
-      ReadaptOutcome outcome =
-          incremental_readapt(*lib_, trace, current, options_.cache,
-                              options_.ambiguity_probes ? &hooks : nullptr);
-      report.readapts += 1;
-      report.readapt_rounds += runner.rounds() - rr0;
-      report.readapt_bytes += runner.bytes_offered() - rb0;
-      wr.readapt_path = outcome.path;
-      wr.readapt_rounds = runner.rounds() - rr0;
-      wr.readapt_ladder = outcome.ladder;
-      wr.readapt_probe_flows = outcome.probe_flows;
-      report.fingerprint_probe_flows += outcome.probe_flows;
-      if (outcome.probed_ambiguity) {
-        report.fingerprint_digest = outcome.probed_ambiguity->fingerprint_hex();
-        report.fingerprint_dims = outcome.probed_ambiguity->dims.size();
-      }
-      // Readapt cost as a fleet series point at this wave's boundary. The
-      // value comes from the runner's deterministic round counter, so the
-      // "fleet."-prefixed telemetry document stays byte-identical across
-      // worker counts and match backends.
-      LIBERATE_TS_SAMPLE("fleet.cost.readapt_rounds", -1, ts_us,
-                         wr.readapt_rounds);
-
-      if (outcome.path == ReadaptPath::kFullAnalysis) {
-        policy.transition(DeployState::kReAnalyzing, wave,
-                          "fingerprint-mismatch", ts_us);
-        current = make_cached_characterization(options_.environment,
-                                               trace.app_name, outcome.report);
-        if (outcome.probed_ambiguity) {
-          // Keep the post-change digest on the refreshed entry: the next
-          // deployment that meets this classifier nearest-matches it.
-          current.ambiguity = outcome.probed_ambiguity;
-          if (options_.cache != nullptr) options_.cache->store(current);
-          report.fingerprint_profile.clear();
-          report.fingerprint_source = "probed";
-        }
-      } else if (outcome.path == ReadaptPath::kFingerprintMatched) {
-        // The readapt adopted the matched implementation's knowledge into
-        // the cache under this environment's key — pick it up as the live
-        // characterization so the hot-swap deploys the matched ranking.
-        if (options_.cache != nullptr) {
-          if (const CachedCharacterization* adopted = options_.cache->lookup(
-                  options_.environment, trace.app_name)) {
-            current = *adopted;
-          }
-        }
-        auto it = std::find_if(current.ranking.begin(), current.ranking.end(),
-                               [&](const RankedTechnique& r) {
-                                 return r.name == outcome.technique;
-                               });
-        if (it != current.ranking.end()) {
-          std::rotate(current.ranking.begin(), it, it + 1);
-        }
-        report.fingerprint_profile = outcome.matched_environment;
-        report.fingerprint_source = "nearest";
-      } else if (outcome.path == ReadaptPath::kVerifiedCached) {
-        // The re-verified technique becomes the deployed (front) entry so the
-        // next readapt's level-1 probe targets it.
-        auto it = std::find_if(current.ranking.begin(), current.ranking.end(),
-                               [&](const RankedTechnique& r) {
-                                 return r.name == outcome.technique;
-                               });
-        if (it != current.ranking.end()) {
-          std::rotate(current.ranking.begin(), it, it + 1);
-        }
-      }
-      policy.transition(DeployState::kReDeployed, wave,
-                        readapt_path_name(outcome.path), ts_us);
-      technique = outcome.technique;
-      swap_technique(technique, current);
-      monitor.rebaseline();
-      // The new technique's treatment profile is the new normal: re-warm
-      // the detectors alongside the drift baseline.
-      for (auto& [series, det] : detectors) det.reset();
-    } else if (monitor.suspect_streak() > 0) {
-      if (policy.state() == DeployState::kDeployed ||
-          policy.state() == DeployState::kReDeployed) {
-        policy.transition(DeployState::kSuspect, wave, "drift-suspect", ts_us);
-      }
-    } else {
-      if (policy.state() == DeployState::kSuspect) {
-        policy.transition(DeployState::kDeployed, wave, "cleared", ts_us);
-      } else if (policy.state() == DeployState::kReDeployed) {
-        policy.transition(DeployState::kDeployed, wave, "settled", ts_us);
-      }
-    }
-
-    wr.state_after = policy.state();
-    wr.technique_after = technique;
-    if (options_.on_wave) options_.on_wave(wr);
-    report.waves.push_back(std::move(wr));
+  std::vector<std::size_t> admitted(shards_.size(), 0);
+  for (std::size_t k = 0; k < wave_total; ++k) {
+    const std::uint64_t global_flow =
+        static_cast<std::uint64_t>(wave) * wave_total + k;
+    ++admitted[admit_shard(options_.seed, global_flow, shards_.size())];
   }
+  return admitted;
+}
 
-  report.technique_final = technique;
-  report.transitions = policy.transitions();
+std::vector<FleetDelta> FleetEngine::drive(
+    Run& run, std::size_t wave, const std::vector<std::size_t>& admitted) {
+  std::vector<FleetDelta> published(shards_.size());
+  const ApplicationTrace& trace = run.trace;
+  const BytesView payload(run.packet_payload);
+  if (run.pool == nullptr) {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      published[i] = run_wave(*shards_[i], trace, wave, admitted[i], payload);
+    }
+    return published;
+  }
+  std::vector<std::future<FleetDelta>> futures;
+  futures.reserve(shards_.size());
+  for (auto& shard : shards_) {
+    Shard* s = shard.get();
+    const std::size_t n = admitted[s->index];
+    futures.push_back(run.pool->submit(
+        LIBERATE_OBS_PROPAGATE([this, s, &trace, wave, n, payload] {
+          return run_wave(*s, trace, wave, n, payload);
+        })));
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    published[i] = futures[i].get();  // shard order: deterministic merge
+  }
+  return published;
+}
+
+FleetWaveReport FleetEngine::merge(Run& run, std::size_t wave,
+                                   const std::vector<FleetDelta>& published) {
+  // Fold the publishes in shard order; each apply reconstructs that
+  // shard's per-wave stats exactly from the cumulative stream.
+  FleetWaveReport wr;
+  wr.wave = wave;
+  wr.shard_stats.resize(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    run.merger.apply(published[i], &wr.shard_stats[i]);
+    wr.stats += wr.shard_stats[i];
+  }
+  run.report.totals += wr.stats;
+  return wr;
+}
+
+void FleetEngine::sample([[maybe_unused]] const Run& run,
+                         const FleetWaveReport& wr) const {
+  // Telemetry hub sampling: per-shard series points plus a registry tick.
+  // Compiled away at obs level 0. All timestamps are the wave's sim-clock
+  // boundary, so identical runs produce identical series.
+  [[maybe_unused]] const std::uint64_t ts_us = wave_ts_us(wr.wave);
+  auto sample_rates = [&]([[maybe_unused]] int shard,
+                          [[maybe_unused]] const WaveStats& s) {
+    LIBERATE_TS_SAMPLE("fleet.diff_rate", shard, ts_us,
+                       s.differentiated_rate());
+    LIBERATE_TS_SAMPLE("fleet.blocked_rate", shard, ts_us, s.blocked_rate());
+    LIBERATE_TS_SAMPLE("fleet.incomplete_rate", shard, ts_us,
+                       s.incomplete_rate());
+    LIBERATE_TS_SAMPLE("fleet.latency_us", shard, ts_us, s.mean_latency_us());
+  };
+  for (std::size_t i = 0; i < wr.shard_stats.size(); ++i) {
+    sample_rates(static_cast<int>(i), wr.shard_stats[i]);
+    // Per-wave fault/eviction movement, straight off the merged delta
+    // stream (the merger keeps each shard's previous publish).
+    LIBERATE_TS_SAMPLE("fleet.faults", i, ts_us,
+                       run.merger.wave_delta(i, ShardCounter::kFaultsInjected));
+    LIBERATE_TS_SAMPLE("fleet.evicted", i, ts_us,
+                       run.merger.wave_delta(i, ShardCounter::kFlowsEvicted));
+    // Open-addressing occupancy of the shard's shim table. Read on the
+    // control thread at the wave boundary (shard loops are idle).
+    LIBERATE_TS_SAMPLE("fleet.flow_table_load", i, ts_us,
+                       shards_[i]->shim->flow_table_load());
+  }
+  sample_rates(-1, wr.stats);
+  LIBERATE_TS_TICK(ts_us, {"deploy.", "dpi.", "netsim.", "stack.", "core."});
+}
+
+void FleetEngine::detect(Run& run, FleetWaveReport& wr) {
+  // Anomaly pass: robust z-scores over the merged series. A flagged
+  // detector on a rate-suspect wave corroborates drift (the monitor
+  // confirms one wave sooner); a flag on a clean wave only annotates.
+  const std::pair<const char*, double> series_points[] = {
+      {"blocked_rate", wr.stats.blocked_rate()},
+      {"diff_rate", wr.stats.differentiated_rate()},
+      {"incomplete_rate", wr.stats.incomplete_rate()},
+      {"latency_ms", wr.stats.mean_latency_us() / 1000.0},
+  };
+  for (const auto& [series, x] : series_points) {
+    auto det = run.detectors
+                   .try_emplace(series,
+                                obs::AnomalyDetector(fleet_anomaly_config()))
+                   .first;
+    obs::AnomalyVerdict v = det->second.observe(x);
+    if (v.flagged) {
+      wr.anomalies.push_back(series);
+      LIBERATE_OBS_EVENT(wave_ts_us(wr.wave), "obs", "anomaly",
+                         obs::fv("series", series),
+                         obs::fv("wave", static_cast<std::uint64_t>(wr.wave)));
+    }
+  }
+  wr.corroborated = !wr.anomalies.empty();
+  wr.signal = run.monitor.observe(wr.stats, wr.corroborated);
+}
+
+void FleetEngine::adapt(Run& run, FleetWaveReport& wr) {
+  // AdaptationPolicy refuses illegal edges without side effects, so each
+  // branch names only the edge it wants.
+  const std::uint64_t ts_us = wave_ts_us(wr.wave);
+  AdaptationPolicy& policy = run.policy;
+  if (!wr.signal) {
+    if (run.monitor.suspect_streak() > 0) {
+      policy.transition(DeployState::kSuspect, wr.wave, "drift-suspect", ts_us);
+    } else if (policy.state() == DeployState::kSuspect) {
+      policy.transition(DeployState::kDeployed, wr.wave, "cleared", ts_us);
+    } else if (policy.state() == DeployState::kReDeployed) {
+      policy.transition(DeployState::kDeployed, wr.wave, "settled", ts_us);
+    }
+    return;
+  }
+  policy.transition(DeployState::kSuspect, wr.wave, "drift-suspect", ts_us);
+  policy.transition(DeployState::kReVerifying, wr.wave,
+                    format("drift:%s", drift_kind_name(wr.signal->kind)),
+                    ts_us);
+
+  FleetReport& report = run.report;
+  core::ReplayRunner& runner = lib_->runner();
+  const int rr0 = runner.rounds();
+  const std::uint64_t rb0 = runner.bytes_offered();
+  ReadaptOutcome outcome = incremental_readapt(
+      *lib_, run.trace, run.current, options_.cache, &run.hooks);
+  report.readapts += 1;
+  report.readapt_rounds += runner.rounds() - rr0;
+  report.readapt_bytes += runner.bytes_offered() - rb0;
+  wr.readapt_path = outcome.path;
+  wr.readapt_rounds = runner.rounds() - rr0;
+  wr.readapt_ladder = outcome.ladder;
+  wr.readapt_probe_flows = outcome.probe_flows;
+  report.fingerprint_probe_flows += outcome.probe_flows;
+  if (outcome.probed_ambiguity) {
+    report.fingerprint_digest = outcome.probed_ambiguity->fingerprint_hex();
+    report.fingerprint_dims = outcome.probed_ambiguity->dims.size();
+  }
+  // Readapt cost as a fleet series point at this wave's boundary. The
+  // value comes from the runner's deterministic round counter, so the
+  // "fleet."-prefixed telemetry document stays byte-identical across
+  // worker counts and match backends.
+  LIBERATE_TS_SAMPLE("fleet.cost.readapt_rounds", -1, ts_us,
+                     wr.readapt_rounds);
+
+  if (outcome.path == ReadaptPath::kFullAnalysis) {
+    policy.transition(DeployState::kReAnalyzing, wr.wave,
+                      "fingerprint-mismatch", ts_us);
+    if (outcome.probed_ambiguity) {
+      report.fingerprint_profile.clear();
+      report.fingerprint_source = "probed";
+    }
+  } else if (outcome.path == ReadaptPath::kFingerprintMatched) {
+    report.fingerprint_profile = outcome.matched_environment;
+    report.fingerprint_source = "nearest";
+  }
+  policy.transition(DeployState::kReDeployed, wr.wave,
+                    readapt_path_name(outcome.path), ts_us);
+  // The readapt decided what runs next; hot-swap it onto every shard.
+  run.current = std::move(outcome.deployed);
+  run.technique = outcome.technique;
+  swap_technique(run.technique, run.current);
+  run.monitor.rebaseline();
+  // The new technique's treatment profile is the new normal: re-warm the
+  // detectors alongside the drift baseline.
+  for (auto& [series, det] : run.detectors) det.reset();
+}
+
+FleetReport FleetEngine::finish(Run& run) {
+  FleetReport& report = run.report;
+  report.technique_final = run.technique;
+  report.transitions = run.policy.transitions();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     // Totals come off the merged delta stream — the same numbers the shards
     // hold, but read from the control plane's reconstruction.
-    report.flows_evicted += merger.total(i, ShardCounter::kFlowsEvicted);
-    report.faults_injected += merger.total(i, ShardCounter::kFaultsInjected);
+    report.flows_evicted += run.merger.total(i, ShardCounter::kFlowsEvicted);
+    report.faults_injected +=
+        run.merger.total(i, ShardCounter::kFaultsInjected);
     report.flows_resident += shards_[i]->shim->tracked_flows();
   }
-  report.delta_entries_shipped = merger.entries_shipped();
-  report.delta_entries_full = merger.entries_full_equivalent();
+  report.delta_entries_shipped = run.merger.entries_shipped();
+  report.delta_entries_full = run.merger.entries_full_equivalent();
 #if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_METRICS
   // Export only the deterministic "fleet." series: everything under that
   // prefix is sampled on wave boundaries from merged-in-shard-order stats,
@@ -747,7 +728,7 @@ FleetReport FleetEngine::run(const ApplicationTrace& trace) {
   report.telemetry_json = obs::timeseries_to_json(
       obs::TimeSeriesStore::instance().snapshot("fleet."));
 #endif
-  return report;
+  return std::move(report);
 }
 
 std::string FleetReport::summary() const {

@@ -208,6 +208,22 @@ class FleetEngine {
 
  private:
   struct Shard;
+  struct Run;  // one run()'s control-plane state
+
+  // run()'s stages: characterize once, then every wave admit -> drive ->
+  // merge -> sample -> detect -> adapt (which readapts and redeploys on a
+  // drift signal).
+  void characterize(Run& run);
+  void prepare_waves(Run& run);
+  std::vector<std::size_t> admit(std::size_t wave);
+  std::vector<FleetDelta> drive(Run& run, std::size_t wave,
+                                const std::vector<std::size_t>& admitted);
+  FleetWaveReport merge(Run& run, std::size_t wave,
+                        const std::vector<FleetDelta>& published);
+  void sample(const Run& run, const FleetWaveReport& wr) const;
+  void detect(Run& run, FleetWaveReport& wr);
+  void adapt(Run& run, FleetWaveReport& wr);
+  FleetReport finish(Run& run);
 
   /// Drive one shard's wave (`admitted` flows) and return its wave-boundary
   /// counter publish: a sparse delta of the cumulative counters that moved.

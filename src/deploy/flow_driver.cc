@@ -5,7 +5,6 @@
 #include "netsim/checksum.h"
 #include "netsim/network.h"
 #include "netsim/packet.h"
-#include "obs/obs.h"
 #include "stack/ip_reassembly.h"
 
 namespace liberate::deploy {
@@ -271,39 +270,15 @@ WaveStats PacketFlowDriver::run_wave(std::size_t count, BytesView payload,
   // Phase 3: verdicts, before teardown flushes classifier state — the same
   // ordering the full-stack wave loop uses.
   WaveStats stats;
-  stats.flows = count;
-  const bool direct =
-      env_.signal == dpi::Environment::Signal::kDirect && env_.dpi != nullptr;
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint8_t flags = slots_.at<3>(i);
-    const bool reset = (flags & kReset) != 0;
-    const bool done = reset || slots_.at<2>(i) >= expected_bytes(i);
-    if (!(done && !reset)) ++stats.incomplete;
-    if (reset) ++stats.blocked;
-    if ((flags & kCompleted) != 0 && !reset) {
-      const std::uint64_t started = slots_.at<0>(i);
-      const std::uint64_t completed = slots_.at<1>(i);
-      if (completed >= started) {
-        stats.latency_us_sum += completed - started;
-        ++stats.latency_samples;
-        LIBERATE_HDR_RECORD("fleet.flow_latency_us", completed - started);
-      }
-    }
-    bool differentiated = false;
-    if (direct) {
-      auto klass = env_.dpi->engine().active_class_now(
-          tuple_of(wave_first_ + i), loop.now());
-      if (klass) {
-        const auto& actions = env_.dpi->config().actions;
-        auto it = actions.find(*klass);
-        differentiated = it != actions.end() &&
-                         (it->second.block || it->second.zero_rate ||
-                          it->second.throttle_bytes_per_sec.has_value());
-      }
-    } else {
-      differentiated = reset || !done;
-    }
-    if (differentiated) ++stats.differentiated;
+    FlowOutcome flow;
+    flow.tuple = tuple_of(wave_first_ + i);
+    flow.reset = (flags & kReset) != 0;
+    flow.delivered = slots_.at<2>(i) >= expected_bytes(i);
+    flow.started_at = slots_.at<0>(i);
+    if ((flags & kCompleted) != 0) flow.completed_at = slots_.at<1>(i);
+    stats.score(flow, env_);
   }
 
   // Phase 4: teardown. Bare RSTs travel the real path: the shim passes
@@ -318,10 +293,6 @@ WaveStats PacketFlowDriver::run_wave(std::size_t count, BytesView payload,
     if (++sent % kDrainBatch == 0) loop.run_until_idle();
   }
   loop.run_until_idle();
-
-  LIBERATE_COUNTER_ADD("deploy.fleet.flows", stats.flows);
-  LIBERATE_COUNTER_ADD("deploy.fleet.flows_differentiated",
-                       stats.differentiated);
   return stats;
 }
 

@@ -13,14 +13,14 @@
 // middlebox path, fault links, and DPI classifier see bona fide traffic;
 // only the endpoints are synthetic.
 //
-// Outcome semantics mirror the full-stack wave loop:
-//   * blocked    — the client side observed an injected RST for the flow;
-//   * completed  — the server side accepted the full upload (payload bytes
+// Each flow is scored by WaveStats::score (drift.h), the full-stack wave
+// loop's scorer, from this evidence:
+//   * reset      — the client side observed an injected RST for the flow;
+//   * delivered  — the server side accepted the full upload (payload bytes
 //                  that pass the TCP checksum; inert injected packets are
 //                  dropped here exactly as a real OS would drop them);
-//   * incomplete — neither, by the time the wave's event horizon drains;
-//   * differentiated — the environment's direct signal (classifier verdict
-//                  + action), read per flow before teardown.
+//   * the tuple  — for the classifier's direct verdict, read per flow
+//                  before teardown.
 //
 // Teardown RSTs are real packets through the shim (which passes bare RSTs
 // on tracked flows untouched): the DPI middlebox flushes its per-flow
@@ -74,9 +74,6 @@ class PacketFlowDriver {
   /// instead (mixed matching / non-matching traffic).
   WaveStats run_wave(std::size_t count, BytesView payload,
                      BytesView alt_payload = {}, std::size_t alt_every = 0);
-
-  /// Flows driven since construction (== the persistent serial counter).
-  std::uint64_t flows_driven() const { return serial_; }
 
  private:
   struct ClientSink;

@@ -73,16 +73,26 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
     core::ReplayOutcome outcome = runner.run(t, opts);
     struct Verdict {
       bool differentiated;
-      bool completed;
-      bool intact;
+      bool works;  // evaded, with the exchange complete and intact
     };
-    return Verdict{runner.differentiated(outcome), outcome.completed,
-                   outcome.payload_intact};
+    const bool differentiated = runner.differentiated(outcome);
+    return Verdict{differentiated, !differentiated && outcome.completed &&
+                                       outcome.payload_intact};
   };
   auto finish = [&](ReadaptPath path, const std::string& technique,
-                    core::SessionReport report) {
+                    core::SessionReport report, CachedCharacterization next) {
     result.path = path;
     result.technique = technique;
+    if (result.probed_ambiguity) next.ambiguity = result.probed_ambiguity;
+    // The two exits that learned something store it with the ranking in
+    // its characterized cost order; the deployment runs the working
+    // technique first.
+    if (cache != nullptr && (path == ReadaptPath::kFingerprintMatched ||
+                             path == ReadaptPath::kFullAnalysis)) {
+      cache->store(next);
+    }
+    rank_first(next.ranking, technique);
+    result.deployed = std::move(next);
     result.report = std::move(report);
     result.report.total_rounds = runner.rounds() - rounds0;
     result.report.total_bytes = runner.bytes_offered() - bytes0;
@@ -109,9 +119,9 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
     if (technique) {
       auto v = probe(trace, technique.get());
       end_stage("still-working");
-      if (!v.differentiated && v.completed && v.intact) {
+      if (v.works) {
         return finish(ReadaptPath::kStillWorking, deployed,
-                      report_from_cached(cached, deployed));
+                      report_from_cached(cached, deployed), cached);
       }
     }
   }
@@ -124,8 +134,7 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
       core::SessionReport report = report_from_cached(cached, "");
       report.detection.differentiation = false;
       report.detection.content_based = false;
-      report.selected_technique.reset();
-      return finish(ReadaptPath::kPolicyGone, "", std::move(report));
+      return finish(ReadaptPath::kPolicyGone, "", std::move(report), cached);
     }
   }
 
@@ -151,18 +160,16 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
         auto technique = lib.instantiate(rt.name);
         if (!technique) continue;
         auto v = probe(trace, technique.get());
-        if (v.differentiated || !v.completed || !v.intact) continue;
+        if (!v.works) continue;
         end_stage("fingerprint-verify");
         // Adopt the matched implementation's knowledge for this
         // environment so the next drift is an exact warm hit.
         CachedCharacterization adopted = *match;
         adopted.environment = cached.environment;
-        adopted.ambiguity = std::move(probed.digest);
         core::SessionReport report = report_from_cached(adopted, rt.name);
-        cache->store(std::move(adopted));
         LIBERATE_COUNTER_ADD("deploy.readapt.fingerprint_matched", 1);
         return finish(ReadaptPath::kFingerprintMatched, rt.name,
-                      std::move(report));
+                      std::move(report), std::move(adopted));
       }
     }
     end_stage("fingerprint-verify");
@@ -197,10 +204,11 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
       auto technique = lib.instantiate(cached.ranking[i].name);
       if (!technique) continue;
       auto v = probe(trace, technique.get());
-      if (!v.differentiated && v.completed && v.intact) {
+      if (v.works) {
         end_stage("ranking-walk");
         return finish(ReadaptPath::kVerifiedCached, cached.ranking[i].name,
-                      report_from_cached(cached, cached.ranking[i].name));
+                      report_from_cached(cached, cached.ranking[i].name),
+                      cached);
       }
     }
     end_stage("ranking-walk");
@@ -210,12 +218,11 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
   // cached technique died). Full analysis, and refresh the cache.
   core::SessionReport fresh = lib.analyze(trace);
   end_stage("full-analysis");
-  if (cache) {
-    cache->store(
-        make_cached_characterization(cached.environment, cached.app, fresh));
-  }
+  CachedCharacterization refreshed =
+      make_cached_characterization(cached.environment, cached.app, fresh);
   std::string selected = fresh.selected_technique.value_or("");
-  return finish(ReadaptPath::kFullAnalysis, selected, std::move(fresh));
+  return finish(ReadaptPath::kFullAnalysis, selected, std::move(fresh),
+                std::move(refreshed));
 }
 
 }  // namespace liberate::deploy

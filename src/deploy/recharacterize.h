@@ -19,10 +19,10 @@
 //   6. fingerprint mismatch / ranking exhausted: full analyze()
 //                                              -> kFullAnalysis   (O(analysis))
 //
-// Stage 3 only runs when the caller supplies ReadaptHooks (the fleet does,
-// when ambiguity probing is enabled); it is what makes "the classifier was
-// swapped for one we already know" cost ~3 rounds instead of
-// 2 + #fields + ranking-walk.
+// Stage 3 only runs when the caller supplies ReadaptHooks with a
+// probe_ambiguity (the fleet's are set when ambiguity probing is enabled)
+// and a cache; it is what makes "the classifier was swapped for one we
+// already know" cost ~3 rounds instead of 2 + #fields + ranking-walk.
 //
 // Cost accounting rides the runner's round/byte counters, so the <25%-of-
 // full-analysis claim is measured, not asserted.
@@ -95,14 +95,20 @@ struct ReadaptOutcome {
   std::optional<fingerprint::AmbiguityDigest> probed_ambiguity;
   /// Environment name of the matched cache entry ("" = no match).
   std::string matched_environment;
+
+  /// The characterization to deploy next, with `technique` first in its
+  /// ranking and `probed_ambiguity` (when the probes ran) attached: the
+  /// input entry, the matched implementation's entry re-keyed to this
+  /// environment (kFingerprintMatched), or the fresh analysis (kFullAnalysis).
+  CachedCharacterization deployed;
 };
 
 /// Re-adapt against the live environment behind `lib` using the cached
-/// characterization. On the kFullAnalysis path the cache entry is refreshed
-/// in place (when `cache` is non-null). On the kFingerprintMatched path the
-/// matched implementation's knowledge is copied onto this environment's
-/// cache entry (with the freshly probed digest), so the next drift gets an
-/// exact warm hit.
+/// characterization. The two exits that learn new knowledge store
+/// ReadaptOutcome::deployed in `cache` (when non-null), with its ranking in
+/// characterized cost order: kFullAnalysis refreshes this environment's
+/// entry, and kFingerprintMatched copies the matched implementation's
+/// knowledge onto it, so the next drift gets an exact warm hit.
 ReadaptOutcome incremental_readapt(core::Liberate& lib,
                                    const trace::ApplicationTrace& trace,
                                    const CachedCharacterization& cached,

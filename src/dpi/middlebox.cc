@@ -172,6 +172,15 @@ bool DpiMiddlebox::throttle_forward(const std::string& klass, Bytes datagram,
   return true;
 }
 
+bool DpiMiddlebox::treats(const FiveTuple& flow, netsim::TimePoint now) {
+  auto klass = engine_.active_class_now(flow, now);
+  if (!klass) return false;
+  auto it = config_.actions.find(*klass);
+  if (it == config_.actions.end()) return false;
+  const PolicyAction& a = it->second;
+  return a.block || a.zero_rate || a.throttle_bytes_per_sec.has_value();
+}
+
 void DpiMiddlebox::apply_block(const PacketView& pkt, Direction dir,
                                ElementIo& io, const PolicyAction& action,
                                bool drop_packet) {

@@ -84,6 +84,11 @@ class DpiMiddlebox : public netsim::PathElement {
   DpiEngine& engine() { return engine_; }
   const MiddleboxConfig& config() const { return config_; }
 
+  /// Does the policy currently treat `flow` (block, zero-rate or throttle)?
+  /// The direct differentiation signal: the flow's active class, expiry-
+  /// checked at `now`, and that class's action.
+  bool treats(const netsim::FiveTuple& flow, netsim::TimePoint now);
+
   /// Data-usage accounting (the observable T-Mobile zero-rating signal).
   std::uint64_t usage_counter_bytes() const { return usage_counter_bytes_; }
   std::uint64_t zero_rated_bytes() const { return zero_rated_bytes_; }

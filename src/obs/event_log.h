@@ -103,7 +103,10 @@ class EventLog {
   void set_capacity(std::size_t capacity) {
     std::lock_guard<std::mutex> lock(mutex_);
     capacity_ = capacity;
-    while (ring_.size() > capacity_) ring_.pop_front();
+    while (ring_.size() > capacity_) {
+      ring_.pop_front();
+      dropped_ += 1;
+    }
   }
   void reset() {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -36,6 +36,7 @@
 #include <cstring>
 #include <type_traits>
 
+#include "util/rng.h"
 #include "util/soa.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -213,11 +214,8 @@ class FlowTable {
   /// splitmix64 finalizer on top of the user hash: linear probing needs
   /// well-spread low bits, which e.g. port-derived hashes don't guarantee.
   std::size_t home(const Key& k) const {
-    std::uint64_t x = static_cast<std::uint64_t>(Hash{}(k));
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return static_cast<std::size_t>(x ^ (x >> 31)) & mask_;
+    const std::uint64_t h = static_cast<std::uint64_t>(Hash{}(k));
+    return static_cast<std::size_t>(splitmix64(h)) & mask_;
   }
 
   bool occupied(std::size_t i) const {

@@ -11,17 +11,23 @@
 
 namespace liberate {
 
+/// One splitmix64 step: advance by the golden gamma, then finalize. Seeds
+/// xoshiro state below, and elsewhere decorrelates derived seeds (fleet
+/// shards, scheduler worlds) and spreads hash bits (FlowTable slots).
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) {
     // splitmix64 seeding, the canonical way to initialize xoshiro state.
-    std::uint64_t z = seed;
     for (auto& s : state_) {
-      z += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t x = z;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-      s = x ^ (x >> 31);
+      s = splitmix64(seed);
+      seed += 0x9e3779b97f4a7c15ULL;
     }
   }
 

@@ -11,6 +11,13 @@
 namespace liberate::deploy {
 namespace {
 
+/// An entry's canonical JSON: compares every field a cache would keep.
+std::string entry_json(const CachedCharacterization& entry) {
+  ClassifierFingerprintCache cache;
+  cache.store(entry);
+  return cache.to_json();
+}
+
 struct Rig {
   std::unique_ptr<dpi::Environment> env = dpi::make_testbed();
   core::Liberate lib{*env};
@@ -63,6 +70,8 @@ TEST(Recharacterize, PolicyRemovalDetectedInTwoRounds) {
   EXPECT_TRUE(out.technique.empty());
   EXPECT_LE(out.report.total_rounds, 2);
   EXPECT_FALSE(out.report.detection.differentiation);
+  // Nothing to redeploy: the input entry comes back unchanged.
+  EXPECT_EQ(entry_json(out.deployed), entry_json(gone));
 }
 
 TEST(Recharacterize, VerifiedCachedWalksRankingWhenFingerprintHolds) {
@@ -211,6 +220,8 @@ TEST(Recharacterize, LadderStageRoundsSumToTotalOnEveryPath) {
   ASSERT_FALSE(cheap.ladder.empty());
   EXPECT_EQ(cheap.ladder.front().stage, "still-working");
   EXPECT_EQ(ladder_sum(cheap), cheap.report.total_rounds);
+  EXPECT_EQ(entry_json(cheap.deployed), entry_json(rig.cached));
+  EXPECT_EQ(cheap.deployed.ranking.front().name, cheap.technique);
 
   // Ranking walk: the normalizer countermeasure pushes past levels 1-3.
   dpi::NormalizerConfig cfg;
@@ -222,6 +233,11 @@ TEST(Recharacterize, LadderStageRoundsSumToTotalOnEveryPath) {
   EXPECT_EQ(ladder_sum(walked), walked.report.total_rounds);
   ASSERT_GE(walked.ladder.size(), 4u);
   EXPECT_EQ(walked.ladder.back().stage, "ranking-walk");
+  // The cached entry, re-ranked so the next readapt probes what now works.
+  ASSERT_FALSE(walked.deployed.ranking.empty());
+  EXPECT_EQ(walked.deployed.ranking.front().name, walked.technique);
+  EXPECT_EQ(walked.deployed.ranking.size(), rig.cached.ranking.size());
+  EXPECT_EQ(walked.deployed.digest, rig.cached.digest);
 
   // Full analysis: rotate the rule so the fingerprint verification fails.
   auto rules = rig.env->dpi->engine().rules();
@@ -236,6 +252,54 @@ TEST(Recharacterize, LadderStageRoundsSumToTotalOnEveryPath) {
   ASSERT_EQ(full.path, ReadaptPath::kFullAnalysis);
   EXPECT_EQ(ladder_sum(full), full.report.total_rounds);
   EXPECT_EQ(full.ladder.back().stage, "full-analysis");
+  // The fresh analysis, under this environment.
+  ASSERT_FALSE(full.deployed.ranking.empty());
+  EXPECT_EQ(full.deployed.ranking.front().name, full.technique);
+  EXPECT_EQ(full.deployed.environment, "testbed");
+  EXPECT_NE(full.deployed.digest, rig.cached.digest);
+}
+
+// The fingerprint-verify exit: the live classifier's probed digest matches a
+// known implementation, and the first of its techniques that works here is
+// adopted along with its knowledge.
+TEST(Recharacterize, FingerprintMatchDeploysAdoptedEntryWithProbedDigest) {
+  Rig rig;
+  dpi::NormalizerConfig cfg;
+  cfg.reassemble_fragments = true;
+  rig.env->net.emplace_at<dpi::NormalizerElement>(0, cfg);
+
+  fingerprint::AmbiguityDigest probed;
+  probed.add({"frag-overlap", 0x5, 2});
+  CachedCharacterization known = rig.cached;
+  known.environment = "testbed+normalizer";
+  known.ambiguity = probed;
+  ClassifierFingerprintCache cache;
+  cache.store(known);
+  ReadaptHooks hooks;
+  hooks.probe_ambiguity = [&] {
+    return fingerprint::AmbiguityProbeResult{probed, 19};
+  };
+
+  ReadaptOutcome out =
+      incremental_readapt(rig.lib, rig.trace, rig.cached, &cache, &hooks);
+  ASSERT_EQ(out.path, ReadaptPath::kFingerprintMatched);
+  EXPECT_EQ(out.matched_environment, "testbed+normalizer");
+  EXPECT_EQ(out.probe_flows, 19u);
+  ASSERT_FALSE(out.technique.empty());
+  EXPECT_NE(out.technique, rig.cached.ranking.front().name);
+
+  // The matched knowledge, re-keyed to this environment, working technique
+  // first and carrying the digest just probed.
+  EXPECT_EQ(out.deployed.environment, "testbed");
+  EXPECT_EQ(out.deployed.digest, known.digest);
+  EXPECT_EQ(out.deployed.ranking.front().name, out.technique);
+  EXPECT_EQ(out.deployed.ambiguity, probed);
+  // ... and stored for this environment, so the next drift is a warm hit.
+  const CachedCharacterization* stored =
+      cache.lookup("testbed", rig.trace.app_name);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->digest, known.digest);
+  EXPECT_EQ(stored->ambiguity, probed);
 }
 
 }  // namespace

@@ -280,10 +280,7 @@ void FuzzStats::merge(const FuzzStats& o) {
 }
 
 std::uint64_t iteration_seed(std::uint64_t base_seed, std::uint64_t index) {
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL * (index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return splitmix64(base_seed + 0x9e3779b97f4a7c15ULL * index);
 }
 
 std::uint64_t campaign_iterations(std::uint64_t fallback) {

@@ -112,6 +112,12 @@ TEST(ObsSpan, RingDropsOldestBeyondCapacity) {
   EXPECT_EQ(spans.size(), 4u);
   EXPECT_EQ(SpanLog::instance().dropped(), 6u);
   EXPECT_EQ(spans.back().name, "test.ring.9");
+  // Shrinking the ring trims the oldest records, and counts them dropped.
+  SpanLog::instance().set_capacity(1);
+  spans = SpanLog::instance().snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(SpanLog::instance().dropped(), 9u);
+  EXPECT_EQ(spans.back().name, "test.ring.9");
   SpanLog::instance().set_capacity(4096);  // restore default
   SpanLog::instance().reset();
 }
@@ -131,6 +137,13 @@ TEST(ObsEvent, TotalsAreExactEvenWhenRingDrops) {
   ASSERT_EQ(snap.recent.back().fields.size(), 1u);
   EXPECT_EQ(snap.recent.back().fields[0].key, "i");
   EXPECT_EQ(snap.recent.back().fields[0].value, "7");
+  // Shrinking the ring trims the oldest records, and counts them dropped.
+  EventLog::instance().set_capacity(1);
+  snap = EventLog::instance().snapshot();
+  ASSERT_EQ(snap.recent.size(), 1u);
+  EXPECT_EQ(snap.dropped, 7u);
+  EXPECT_EQ(snap.recent.back().ts_us, 7u);
+  EXPECT_EQ(snap.totals.at("test.tick"), 8u);
   EventLog::instance().set_capacity(4096);  // restore default
   EventLog::instance().reset();
 }
