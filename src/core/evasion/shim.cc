@@ -173,26 +173,37 @@ void EvasionShim::send(Bytes datagram) {
     return;
   }
 
+#if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
+  // One provenance decision for everything below, taken from the header
+  // before the buffer moves into the technique. An unsampled flow skips
+  // every digest, piece id and piece description.
+  auto& prov_rec = obs::prov::ProvenanceRecorder::instance();
+  const obs::prov::FlowKey prov_flow = obs::prov::flow_key_of(datagram);
+  const bool prov_sampled = obs::prov::ProvenanceRecorder::sampled(prov_flow);
+  const std::uint64_t prov_now = inner_.loop().now();
+#endif
+
   // Injections that precede the first payload-carrying packet.
   if (state.payload_packets_sent == 0) {
     auto inj = technique_->inject_before_first_payload(pkt, state, context_);
 #if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
-    for (const TimedDatagram& td : inj) {
-      obs::prov::ProvenanceRecorder::instance().edge(
-          inner_.loop().now(), datagram, td.datagram,
-          hop_kind(technique_->category()), technique_->name(),
-          "before-first-payload");
-    }
-    if (!inj.empty()) {
-      // Ledger entry so the injection shows up in the flow's decision path
-      // (the edges alone only live in the lineage graph).
-      obs::prov::ProvenanceRecorder::instance().note(
-          inner_.loop().now(), obs::prov::flow_key_of(datagram), "mutation",
-          {obs::fv("hop", hop_kind(technique_->category())),
-           obs::fv("technique", technique_->name()),
-           obs::fv("injected", static_cast<std::uint64_t>(inj.size())),
-           obs::fv("position", "before-first-payload")},
-          obs::prov::packet_id(inj.front().datagram));
+    if (prov_sampled) {
+      for (const TimedDatagram& td : inj) {
+        prov_rec.edge(prov_now, datagram, td.datagram,
+                      hop_kind(technique_->category()), technique_->name(),
+                      "before-first-payload");
+      }
+      if (!inj.empty()) {
+        // Ledger entry so the injection shows up in the flow's decision
+        // path (the edges alone only live in the lineage graph).
+        prov_rec.note(
+            prov_now, prov_flow, "mutation",
+            {obs::fv("hop", hop_kind(technique_->category())),
+             obs::fv("technique", technique_->name()),
+             obs::fv("injected", static_cast<std::uint64_t>(inj.size())),
+             obs::fv("position", "before-first-payload")},
+            obs::prov::packet_id(inj.front().datagram));
+      }
     }
 #endif
     packets_injected_ += inj.size();
@@ -206,11 +217,9 @@ void EvasionShim::send(Bytes datagram) {
 #if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
     // Digest the matching packet before its buffer moves into the
     // technique; every produced piece records a causal hop back to it.
-    auto& prov_rec = obs::prov::ProvenanceRecorder::instance();
-    const std::uint64_t parent_id = prov_rec.packet(datagram, "wire");
+    const std::uint64_t parent_id =
+        prov_sampled ? prov_rec.packet(datagram, "wire") : 0;
     const auto parent_size = static_cast<std::uint32_t>(datagram.size());
-    const std::uint64_t prov_now = inner_.loop().now();
-    const obs::prov::FlowKey parent_flow = obs::prov::flow_key_of(datagram);
 #endif
     auto pieces = technique_->transform_matching_packet(std::move(datagram),
                                                         pkt, state, context_);
@@ -219,41 +228,45 @@ void EvasionShim::send(Bytes datagram) {
       LIBERATE_COST_TICK(kMutatedPackets, pieces.size());
     }
 #if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
-    for (const TimedDatagram& td : pieces) {
-      prov_rec.edge_ids(prov_now, parent_id, parent_size,
-                        obs::prov::packet_id(td.datagram),
-                        static_cast<std::uint32_t>(td.datagram.size()),
-                        hop_kind(technique_->category()), technique_->name(),
-                        piece_detail(pkt, td.datagram));
-    }
-    if (pieces.size() > 1) {
-      prov_rec.note(prov_now, parent_flow, "mutation",
-                    {obs::fv("hop", hop_kind(technique_->category())),
-                     obs::fv("technique", technique_->name()),
-                     obs::fv("pieces",
-                             static_cast<std::uint64_t>(pieces.size()))},
-                    obs::prov::packet_id(pieces.front().datagram));
+    if (prov_sampled) {
+      for (const TimedDatagram& td : pieces) {
+        prov_rec.edge_ids(prov_now, parent_id, parent_size,
+                          obs::prov::packet_id(td.datagram),
+                          static_cast<std::uint32_t>(td.datagram.size()),
+                          hop_kind(technique_->category()), technique_->name(),
+                          piece_detail(pkt, td.datagram));
+      }
+      if (pieces.size() > 1) {
+        prov_rec.note(prov_now, prov_flow, "mutation",
+                      {obs::fv("hop", hop_kind(technique_->category())),
+                       obs::fv("technique", technique_->name()),
+                       obs::fv("pieces",
+                               static_cast<std::uint64_t>(pieces.size()))},
+                      obs::prov::packet_id(pieces.front().datagram));
+      }
     }
 #endif
     emit(std::move(pieces));
     if (!first_match) return;  // retransmission: transform only, no inject
     auto after = technique_->inject_after_match(pkt, state, context_);
 #if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
-    for (const TimedDatagram& td : after) {
-      prov_rec.edge_ids(prov_now, parent_id, parent_size,
-                        obs::prov::packet_id(td.datagram),
-                        static_cast<std::uint32_t>(td.datagram.size()),
-                        hop_kind(technique_->category()), technique_->name(),
-                        "after-match");
-    }
-    if (!after.empty()) {
-      prov_rec.note(prov_now, parent_flow, "mutation",
-                    {obs::fv("hop", hop_kind(technique_->category())),
-                     obs::fv("technique", technique_->name()),
-                     obs::fv("injected",
-                             static_cast<std::uint64_t>(after.size())),
-                     obs::fv("position", "after-match")},
-                    obs::prov::packet_id(after.front().datagram));
+    if (prov_sampled) {
+      for (const TimedDatagram& td : after) {
+        prov_rec.edge_ids(prov_now, parent_id, parent_size,
+                          obs::prov::packet_id(td.datagram),
+                          static_cast<std::uint32_t>(td.datagram.size()),
+                          hop_kind(technique_->category()), technique_->name(),
+                          "after-match");
+      }
+      if (!after.empty()) {
+        prov_rec.note(prov_now, prov_flow, "mutation",
+                      {obs::fv("hop", hop_kind(technique_->category())),
+                       obs::fv("technique", technique_->name()),
+                       obs::fv("injected",
+                               static_cast<std::uint64_t>(after.size())),
+                       obs::fv("position", "after-match")},
+                      obs::prov::packet_id(after.front().datagram));
+      }
     }
 #endif
     packets_injected_ += after.size();

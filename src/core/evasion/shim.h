@@ -72,7 +72,6 @@ class EvasionShim : public netsim::NetworkPort {
   std::uint64_t flows_evicted() const { return flows_evicted_; }
   /// Occupancy of the open-addressing flow table, for telemetry.
   double flow_table_load() const { return flows_.load_factor(); }
-  std::size_t flow_table_capacity() const { return flows_.capacity(); }
   /// Pre-size the flow table (e.g. a fleet shard that knows its wave
   /// concurrency) so the hot path never pays a growth rehash.
   void reserve_flows(std::size_t flows) { flows_.reserve(flows); }

@@ -293,7 +293,12 @@ FleetDelta FleetEngine::run_wave(Shard& shard, const ApplicationTrace& trace,
   // Everything a shard wave spends (match ops in its DPI engine, packets
   // its shim mutates) attributes to the fleet phase, on any thread.
   LIBERATE_COST_SCOPE(kFleet);
-  LIBERATE_PROV_SCOPE(shard.seed);
+  LIBERATE_PROV_SCOPE(shard.seed, kShardProvenanceSampleEvery);
+  // The pre-DPI tap copies every datagram it passes, and a shard world
+  // lives for the whole session: keep only the current wave's.
+  if (shard.env->pre_middlebox_tap != nullptr) {
+    shard.env->pre_middlebox_tap->clear();
+  }
 
   WaveStats stats;
   if (options_.flow_mode == FlowMode::kPacketLevel) {
@@ -340,6 +345,9 @@ WaveStats FleetEngine::run_wave_full_stack(Shard& shard,
                                            const ApplicationTrace& trace,
                                            std::size_t admitted) {
   netsim::EventLoop& loop = shard.env->loop;
+  // The persistent hosts copy every datagram they receive, like the tap.
+  shard.client->clear_raw_received();
+  shard.server->clear_raw_received();
   auto wd = std::make_shared<FullStackWave>();
   wd->client_payload = concat_payload(trace, Sender::kClient);
   wd->server_payload = concat_payload(trace, Sender::kServer);

@@ -39,6 +39,15 @@ namespace liberate::deploy {
 
 struct FleetWaveReport;
 
+/// Shard worlds record provenance for 1 flow in this many. The recorder
+/// keeps only the newest 1 024 flow ledgers and 65 536 packet nodes, so a
+/// soak of ~200k flows recording everything would digest, lock and
+/// allocate for every datagram only to evict nearly all of it. At 64 such a
+/// soak still records ~3.1k flows (~15k datagrams): more flows than the
+/// ledger cap keeps, and well under the node cap. Analysis, readapt and
+/// explain scopes record every flow.
+inline constexpr std::uint64_t kShardProvenanceSampleEvery = 64;
+
 /// How a shard turns a wave of flows into packets.
 enum class FlowMode {
   /// One stack::TcpConnection per flow (full endpoint fidelity). Right up

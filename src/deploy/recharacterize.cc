@@ -84,14 +84,14 @@ ReadaptOutcome incremental_readapt(core::Liberate& lib,
     result.path = path;
     result.technique = technique;
     if (result.probed_ambiguity) next.ambiguity = result.probed_ambiguity;
-    // The two exits that learned something store it with the ranking in
-    // its characterized cost order; the deployment runs the working
-    // technique first.
+    // The deployment runs the working technique first, and the two exits
+    // that learned something store exactly that entry: a later warm deploy
+    // must not start with a technique that just failed here.
+    rank_first(next.ranking, technique);
     if (cache != nullptr && (path == ReadaptPath::kFingerprintMatched ||
                              path == ReadaptPath::kFullAnalysis)) {
       cache->store(next);
     }
-    rank_first(next.ranking, technique);
     result.deployed = std::move(next);
     result.report = std::move(report);
     result.report.total_rounds = runner.rounds() - rounds0;

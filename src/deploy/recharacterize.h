@@ -105,10 +105,10 @@ struct ReadaptOutcome {
 
 /// Re-adapt against the live environment behind `lib` using the cached
 /// characterization. The two exits that learn new knowledge store
-/// ReadaptOutcome::deployed in `cache` (when non-null), with its ranking in
-/// characterized cost order: kFullAnalysis refreshes this environment's
-/// entry, and kFingerprintMatched copies the matched implementation's
-/// knowledge onto it, so the next drift gets an exact warm hit.
+/// ReadaptOutcome::deployed in `cache` (when non-null), working technique
+/// first: kFullAnalysis refreshes this environment's entry, and
+/// kFingerprintMatched copies the matched implementation's knowledge onto
+/// it, so the next drift gets an exact warm hit.
 ReadaptOutcome incremental_readapt(core::Liberate& lib,
                                    const trace::ApplicationTrace& trace,
                                    const CachedCharacterization& cached,

@@ -441,16 +441,21 @@ void DpiEngine::run_match(FlowState& fs, FlowState::DirState& ds,
   // the reference linear matcher instead so determinism/equivalence suites
   // can compare entire analyses across both implementations.
   const bool use_program = match_backend() == MatchBackend::kCompiled;
+  // Flows the provenance scope samples record their decision path. Traced
+  // evaluation shares the exact code path with the untraced one (the plain
+  // entry points delegate to the traced ones), so recording it can never
+  // change the verdict; an unsampled flow builds no steps at all.
+  std::vector<RuleStep>* trace = nullptr;
 #if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
-  // Traced evaluation shares the exact code path with the untraced one (the
-  // plain entry points delegate to the traced ones), so recording the
-  // decision path can never change the verdict.
   std::vector<RuleStep> steps;
+  const obs::prov::FlowKey flow = pkey(key);
+  if (obs::prov::ProvenanceRecorder::sampled(flow)) trace = &steps;
+#endif
   RuleHit hit =
-      use_program
-          ? program_->run(rules_, content, ctx, &steps, match_scratch_)
-          : match_rules_reference_traced(rules_, content, ctx, &steps);
-  {
+      use_program ? program_->run(rules_, content, ctx, trace, match_scratch_)
+                  : match_rules_reference_traced(rules_, content, ctx, trace);
+#if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
+  if (trace != nullptr) {
     std::uint64_t inspected = 0;
     for (const RuleStep& s : steps) {
       if (s.outcome == RuleStep::Outcome::kNoMatch ||
@@ -458,34 +463,29 @@ void DpiEngine::run_match(FlowState& fs, FlowState::DirState& ds,
         inspected += 1;
       }
     }
+    auto& rec = obs::prov::ProvenanceRecorder::instance();
     if (hit) {
       std::string offsets;
       for (std::size_t off : steps.back().content.keyword_offsets) {
         if (!offsets.empty()) offsets += ",";
         offsets += std::to_string(off);
       }
-      LIBERATE_PROV_NOTE(
-          now, pkey(key), "rules-evaluated",
-          obs::fv("tried", std::uint64_t{steps.size()}),
-          obs::fv("inspected", inspected),
-          obs::fv("class", hit.rule->traffic_class),
-          obs::fv("rule", hit.rule->name),
-          obs::fv("depth", std::uint64_t{steps.size()}),
-          obs::fv("offsets", offsets),
-          obs::fv("content_len", std::uint64_t{content.size()}));
+      rec.note(now, flow, "rules-evaluated",
+               {obs::fv("tried", std::uint64_t{steps.size()}),
+                obs::fv("inspected", inspected),
+                obs::fv("class", hit.rule->traffic_class),
+                obs::fv("rule", hit.rule->name),
+                obs::fv("depth", std::uint64_t{steps.size()}),
+                obs::fv("offsets", offsets),
+                obs::fv("content_len", std::uint64_t{content.size()})});
     } else {
-      LIBERATE_PROV_NOTE(now, pkey(key), "rules-evaluated",
-                         obs::fv("tried", std::uint64_t{steps.size()}),
-                         obs::fv("inspected", inspected),
-                         obs::fv("outcome", "no-match"),
-                         obs::fv("content_len", std::uint64_t{content.size()}));
+      rec.note(now, flow, "rules-evaluated",
+               {obs::fv("tried", std::uint64_t{steps.size()}),
+                obs::fv("inspected", inspected),
+                obs::fv("outcome", "no-match"),
+                obs::fv("content_len", std::uint64_t{content.size()})});
     }
   }
-#else
-  RuleHit hit =
-      use_program
-          ? program_->run(rules_, content, ctx, nullptr, match_scratch_)
-          : match_rules_reference(rules_, content, ctx);
 #endif
   if (!hit) {
     LIBERATE_COUNTER_ADD("dpi.match_misses", 1);

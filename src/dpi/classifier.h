@@ -209,7 +209,6 @@ class DpiEngine {
   const ClassifierConfig& config() const { return config_; }
   const std::vector<ClassificationEvent>& log() const { return log_; }
   std::size_t tracked_flows() const { return flows_.size(); }
-  void clear_log() { log_.clear(); }
 
   /// Swap the rule set at runtime (classifier-rule-change adaptation tests).
   /// Recompiles the match program (memoized — swapping back and forth
@@ -231,7 +230,6 @@ class DpiEngine {
  private:
   FlowState* lookup(const netsim::FiveTuple& key, netsim::TimePoint now,
                     bool create);
-  void refresh_result_expiry(FlowState& fs, netsim::TimePoint now);
   Inspection inspect_tcp(const netsim::PacketView& pkt,
                          const netsim::TcpView& tcp, bool client_to_server,
                          const netsim::FiveTuple& key, netsim::TimePoint now);

@@ -88,8 +88,6 @@ class MatchProgram {
   /// False when the rule set exceeded the automaton budget and run()
   /// delegates to the reference matcher.
   bool compiled() const { return !fallback_; }
-  std::size_t rule_count() const { return rules_.size(); }
-  std::size_t pattern_count() const { return pattern_len_.size(); }
   std::size_t node_count() const { return node_out_start_.size(); }
   /// Content fingerprint of the source rule set (the compile-cache key).
   const Fingerprint& fingerprint() const { return fingerprint_; }

@@ -48,7 +48,6 @@ struct Ipv4Option {
   std::uint8_t declared_length = 0;
 
   static Ipv4Option nop() { Ipv4Option o; o.kind = 1; return o; }
-  static Ipv4Option end_of_list() { Ipv4Option o; o.kind = 0; return o; }
   /// Deprecated Stream Identifier option (kind 136, RFC 791 / deprecated by
   /// RFC 6814) — Table 3's "Deprecated Options" row.
   static Ipv4Option stream_id(std::uint16_t id);

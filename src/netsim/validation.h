@@ -64,10 +64,6 @@ struct ValidationPolicy {
     checked |= anomaly_bit(a);
     return *this;
   }
-  ValidationPolicy& check_all() {
-    checked = ~0u;
-    return *this;
-  }
   bool rejects(AnomalySet present) const { return (present & checked) != 0; }
 
   /// Strict end-host policy: everything validated (modern OS default).

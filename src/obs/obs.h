@@ -154,36 +154,70 @@
                                                {__VA_ARGS__})
 
 // ---- provenance flight recorder (obs/provenance/recorder.h) ----
+//
+// Each recording macro first asks the scope whether it samples the flow
+// (ProvenanceRecorder::sampled, from header bytes only) and does nothing
+// more for a flow it does not: no digest, lock, allocation or field list.
+
+#define LIBERATE_PROV_RECORDER ::liberate::obs::prov::ProvenanceRecorder
 
 /// Binds the calling thread to a provenance scope (a round fingerprint)
-/// until the end of the enclosing block.
-#define LIBERATE_PROV_SCOPE(scope_id)                 \
-  ::liberate::obs::prov::ScopedProvScope LIBERATE_OBS_CONCAT( \
-      liberate_prov_scope_, __COUNTER__)((scope_id))
+/// until the end of the enclosing block. An optional second argument
+/// samples the scope: it records 1 flow in that many (default 1, all).
+#define LIBERATE_PROV_SCOPE(...)                                      \
+  ::liberate::obs::prov::ScopedProvScope LIBERATE_OBS_CONCAT(         \
+      liberate_prov_scope_, __COUNTER__)(__VA_ARGS__)
 
 /// Registers a packet's lineage node at creation. `datagram` is the
 /// serialized bytes (Bytes/BytesView); `kind` names the origin ("tcp",
 /// "udp", "icmp", "crafted").
-#define LIBERATE_PROV_PACKET(datagram, kind)                         \
-  ::liberate::obs::prov::ProvenanceRecorder::instance().packet(      \
-      (datagram), (kind))
+#define LIBERATE_PROV_PACKET(datagram, kind)                          \
+  do {                                                                \
+    const auto& liberate_prov_pkt = (datagram);                       \
+    if (LIBERATE_PROV_RECORDER::sampled(                              \
+            ::liberate::obs::prov::flow_key_of(liberate_prov_pkt))) { \
+      LIBERATE_PROV_RECORDER::instance().packet(liberate_prov_pkt,    \
+                                                (kind));              \
+    }                                                                 \
+  } while (0)
 
 /// Records a causal hop: `child` was produced from `parent` by `actor`.
-#define LIBERATE_PROV_EDGE(ts_us, parent, child, kind, actor)        \
-  ::liberate::obs::prov::ProvenanceRecorder::instance().edge(        \
-      (ts_us), (parent), (child), (kind), (actor))
+/// The parent's flow decides (a non-first fragment's header has no ports).
+#define LIBERATE_PROV_EDGE(ts_us, parent, child, kind, actor)         \
+  do {                                                                \
+    const auto& liberate_prov_parent = (parent);                      \
+    if (LIBERATE_PROV_RECORDER::sampled(                              \
+            ::liberate::obs::prov::flow_key_of(                       \
+                liberate_prov_parent))) {                             \
+      LIBERATE_PROV_RECORDER::instance().edge(                        \
+          (ts_us), liberate_prov_parent, (child), (kind), (actor));   \
+    }                                                                 \
+  } while (0)
 
 /// Appends a decision record to the flow's ledger; trailing arguments are
 /// obs::fv(key, value) fields. `flow` is an obs::prov::FlowKey.
-#define LIBERATE_PROV_NOTE(ts_us, flow, kind, ...)                   \
-  ::liberate::obs::prov::ProvenanceRecorder::instance().note(        \
-      (ts_us), (flow), (kind), {__VA_ARGS__})
+#define LIBERATE_PROV_NOTE(ts_us, flow, kind, ...)                    \
+  do {                                                                \
+    const ::liberate::obs::prov::FlowKey liberate_prov_flow = (flow); \
+    if (LIBERATE_PROV_RECORDER::sampled(liberate_prov_flow)) {        \
+      LIBERATE_PROV_RECORDER::instance().note(                        \
+          (ts_us), liberate_prov_flow, (kind), {__VA_ARGS__});        \
+    }                                                                 \
+  } while (0)
 
 /// LIBERATE_PROV_NOTE for sites holding the serialized datagram: the flow
 /// key is derived from the packet and the record links to its lineage node.
-#define LIBERATE_PROV_NOTE_PKT(ts_us, datagram, kind, ...)           \
-  ::liberate::obs::prov::ProvenanceRecorder::instance().note_pkt(    \
-      (ts_us), (datagram), (kind), {__VA_ARGS__})
+#define LIBERATE_PROV_NOTE_PKT(ts_us, datagram, kind, ...)            \
+  do {                                                                \
+    const auto& liberate_prov_pkt = (datagram);                       \
+    const ::liberate::obs::prov::FlowKey liberate_prov_flow =         \
+        ::liberate::obs::prov::flow_key_of(liberate_prov_pkt);        \
+    if (LIBERATE_PROV_RECORDER::sampled(liberate_prov_flow)) {        \
+      LIBERATE_PROV_RECORDER::instance().note_pkt(                    \
+          (ts_us), liberate_prov_flow, liberate_prov_pkt, (kind),     \
+          {__VA_ARGS__});                                             \
+    }                                                                 \
+  } while (0)
 
 #else  // spans/events/provenance compiled out below "full"
 
@@ -193,8 +227,8 @@
 #define LIBERATE_OBS_EVENT(ts_us, layer, kind, ...) \
   do {                                              \
   } while (0)
-#define LIBERATE_PROV_SCOPE(scope_id) \
-  do {                                \
+#define LIBERATE_PROV_SCOPE(...) \
+  do {                           \
   } while (0)
 #define LIBERATE_PROV_PACKET(datagram, kind) \
   do {                                       \

@@ -15,18 +15,26 @@
 //               (rules tried, match offsets, verdicts), bounded like
 //               EventLog's ring with exact drop counters.
 //
-// Every worker records every datagram it builds or inspects, so the stores
-// are striped by key, each stripe behind its own mutex: nodes and the edges
-// into them by packet id, ledgers by canonical flow key (all scopes of a
-// flow share a stripe). Eviction order is still one process-wide FIFO per
-// table, kept in a ring of insertion order, so the caps (65 536 nodes,
-// 1 024 flows, 512 records per ledger) evict what a single FIFO would.
+// Every worker records every sampled datagram it builds or inspects, so the
+// stores are striped by key, each stripe behind its own mutex: nodes and
+// the edges into them by packet id, ledgers by canonical flow key (all
+// scopes of a flow share a stripe). Eviction order is still one
+// process-wide FIFO per table, kept in a ring of insertion order, so the
+// caps (65 536 nodes, 1 024 flows, 512 records per ledger) evict what a
+// single FIFO would.
 //
 // The *scope* disambiguates parallel replay: every isolated round replays
 // the same 10.0.0.1 flow tuple, so a thread-local scope id — set by the
 // round scheduler to the content-defined round fingerprint — keeps
 // concurrent worlds from interleaving one flow's story. Scope 0 is the
 // ambient (serial, non-round) scope.
+//
+// A scope also samples: it records 1 flow in `sample_every` (1, everything,
+// unless the scope says otherwise; fleet shard worlds say 64). Every
+// recording site asks sampled() with the flow's canonical key, read from
+// header bytes, before it digests, locks or allocates anything, so an
+// unsampled flow costs one hash. The choice is a pure function of the key
+// and the scope: the same at every site of a flow, at any worker count.
 //
 // Like the rest of obs, everything here is level-independent inline code —
 // gating lives only in the LIBERATE_PROV_* macros (obs/obs.h), so TUs
@@ -52,6 +60,7 @@
 
 #include "obs/event_log.h"
 #include "util/digest.h"
+#include "util/rng.h"
 
 namespace liberate::obs::prov {
 
@@ -218,7 +227,15 @@ class ProvenanceRecorder {
   }
 
   /// The active scope for this thread (0 = ambient). Set via ScopedProvScope.
-  static std::uint64_t current_scope() { return scope_slot(); }
+  static std::uint64_t current_scope() { return scope_slot().scope; }
+
+  /// Whether this thread's scope records `flow`: every flow when the scope
+  /// samples 1 in 1, else 1 flow in sample_every by a hash of the canonical
+  /// key. Callers decide here before any digest, lock or allocation.
+  static bool sampled(const FlowKey& flow) {
+    const std::uint64_t every = scope_slot().sample_every;
+    return every == 1 || splitmix64(flow_hash(flow)) % every == 0;
+  }
 
   /// Idempotently register a packet node. Returns the lineage id.
   std::uint64_t packet(BytesView datagram, std::string_view kind) {
@@ -289,12 +306,12 @@ class ProvenanceRecorder {
     if (victim) evict_ledger(*victim);
   }
 
-  /// note() for sites holding the serialized datagram: derives the flow key
-  /// and links the record to the packet's lineage node.
-  void note_pkt(std::uint64_t ts_us, BytesView datagram, std::string_view kind,
+  /// note() for sites holding the serialized datagram of `flow`: links the
+  /// record to the packet's lineage node.
+  void note_pkt(std::uint64_t ts_us, const FlowKey& flow, BytesView datagram,
+                std::string_view kind,
                 std::initializer_list<EventField> fields) {
-    std::uint64_t id = packet(datagram, "wire");
-    note(ts_us, flow_key_of(datagram), kind, fields, id);
+    note(ts_us, flow, kind, fields, packet(datagram, "wire"));
   }
 
   std::optional<NodeInfo> node(std::uint64_t id) const {
@@ -477,8 +494,12 @@ class ProvenanceRecorder {
 
   ProvenanceRecorder() = default;
 
-  static std::uint64_t& scope_slot() {
-    thread_local std::uint64_t t_scope = 0;
+  struct ScopeState {
+    std::uint64_t scope = 0;
+    std::uint64_t sample_every = 1;
+  };
+  static ScopeState& scope_slot() {
+    thread_local ScopeState t_scope;
     return t_scope;
   }
   friend class ScopedProvScope;
@@ -624,12 +645,15 @@ class ProvenanceRecorder {
 };
 
 /// RAII scope binding for the calling thread; the round scheduler opens one
-/// per isolated round with the round's content-defined fingerprint.
+/// per isolated round with the round's content-defined fingerprint, and a
+/// fleet shard one per wave that samples 1 flow in `sample_every` (0 counts
+/// as 1).
 class ScopedProvScope {
  public:
-  explicit ScopedProvScope(std::uint64_t scope)
+  explicit ScopedProvScope(std::uint64_t scope, std::uint64_t sample_every = 1)
       : prev_(ProvenanceRecorder::scope_slot()) {
-    ProvenanceRecorder::scope_slot() = scope;
+    ProvenanceRecorder::scope_slot() = {
+        scope, std::max<std::uint64_t>(sample_every, 1)};
   }
   ~ScopedProvScope() { ProvenanceRecorder::scope_slot() = prev_; }
 
@@ -637,7 +661,7 @@ class ScopedProvScope {
   ScopedProvScope& operator=(const ScopedProvScope&) = delete;
 
  private:
-  std::uint64_t prev_;
+  ProvenanceRecorder::ScopeState prev_;
 };
 
 }  // namespace liberate::obs::prov

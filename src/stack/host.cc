@@ -42,11 +42,6 @@ UdpSocket& Host::udp_bind(std::uint16_t port) {
   return *slot;
 }
 
-TcpConnection* Host::find_connection(const FiveTuple& local_to_remote) {
-  auto it = connections_.find(local_to_remote);
-  return it == connections_.end() ? nullptr : it->second.get();
-}
-
 void Host::receive(Bytes datagram) {
   // Raw tap before anything else: "reached the server" means reached the
   // wire at the server's NIC, regardless of kernel validation.

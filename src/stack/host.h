@@ -29,7 +29,6 @@ class Host : public netsim::HostIface {
 
   std::uint32_t address() const { return address_; }
   const OsProfile& os() const { return os_; }
-  void set_os(OsProfile os) { os_ = std::move(os); }
   netsim::EventLoop& loop() { return port_.loop(); }
 
   /// --- TCP ---------------------------------------------------------------
@@ -66,9 +65,6 @@ class Host : public netsim::HostIface {
 
   /// Stack-internal: segment/datagram transmission for endpoints.
   void transmit(Bytes datagram) { port_.send(std::move(datagram)); }
-  /// Remove a fully closed connection lazily (kept simple: connections stay
-  /// until replaced or host destroyed; tests rely on inspecting them).
-  TcpConnection* find_connection(const netsim::FiveTuple& local_to_remote);
 
  private:
   void handle_validated(const netsim::PacketView& pkt, BytesView datagram);

@@ -55,7 +55,16 @@ std::optional<Bytes> IpReassembler::push(BytesView datagram,
     evict_oldest();
   }
   Buffer& buf = buffers_[key];
-  if (buf.pieces.empty()) buf.first_seen = now;
+  if (buf.pieces.empty()) {
+    buf.first_seen = now;
+#if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
+    // Non-first fragments carry no ports, so the buffer's own key stands in
+    // for the flow (the IP id in a port slot): one provenance decision per
+    // datagram, which its piece ids and reassembly edge all follow.
+    buf.prov_sampled = obs::prov::ProvenanceRecorder::sampled(
+        obs::prov::flow_key(v.src, v.identification, v.dst, 0, v.protocol));
+#endif
+  }
 
   if (buf.pieces.size() >= limits_.max_pieces_per_buffer) {
     LIBERATE_COUNTER_ADD("stack.reassembly_piece_overflow", 1);
@@ -71,9 +80,11 @@ std::optional<Bytes> IpReassembler::push(BytesView datagram,
   buf.pieces.push_back(
       Piece{offset, Bytes(payload.begin(), payload.end()), buf.pieces.size()});
 #if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
-  buf.piece_ids.emplace_back(
-      obs::prov::ProvenanceRecorder::instance().packet(datagram, "wire"),
-      static_cast<std::uint32_t>(datagram.size()));
+  if (buf.prov_sampled) {
+    buf.piece_ids.emplace_back(
+        obs::prov::ProvenanceRecorder::instance().packet(datagram, "wire"),
+        static_cast<std::uint32_t>(datagram.size()));
+  }
 #endif
   if (!v.flag_more_fragments) {
     std::size_t claimed = offset + payload.size();
@@ -166,7 +177,7 @@ std::optional<Bytes> IpReassembler::push(BytesView datagram,
   }
   Bytes whole = serialize_ipv4(*buf.header, payload_out);
 #if LIBERATE_OBS_LEVEL >= LIBERATE_OBS_LEVEL_FULL
-  {
+  if (buf.prov_sampled) {
     auto& rec = obs::prov::ProvenanceRecorder::instance();
     std::uint64_t whole_id = rec.packet(whole, "wire");
     for (auto [piece, piece_size] : buf.piece_ids) {

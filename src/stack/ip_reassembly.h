@@ -98,9 +98,11 @@ class IpReassembler {
     // Header template taken from the offset-0 fragment.
     std::optional<netsim::Ipv4Header> header;
     // Lineage id and datagram size of each buffered fragment, recorded only
-    // when the provenance recorder is compiled in (layout is
-    // level-independent so mixed-level TUs stay ODR-safe). The size lets the
-    // reassembly edge re-register a fragment whose node was evicted.
+    // when the provenance recorder is compiled in and its scope samples this
+    // buffer (layout is level-independent so mixed-level TUs stay ODR-safe).
+    // The size lets the reassembly edge re-register a fragment whose node
+    // was evicted.
+    bool prov_sampled = false;
     std::vector<std::pair<std::uint64_t, std::uint32_t>> piece_ids;
   };
 

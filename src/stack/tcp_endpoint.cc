@@ -72,7 +72,6 @@ void TcpConnection::transmit_data_segment(std::uint32_t seq, BytesView payload,
   host_.transmit(make_tcp_datagram(ip, h, payload));
   if (record) {
     unacked_.push_back(Unacked{seq, Bytes(payload.begin(), payload.end())});
-    bytes_sent_ += payload.size();
   }
 }
 
@@ -337,7 +336,6 @@ void TcpConnection::deliver_in_order() {
         seq_lt(rcv_nxt_, seq + static_cast<std::uint32_t>(data.size()))) {
       std::uint32_t skip = rcv_nxt_ - seq;
       BytesView fresh = BytesView(data).subspan(skip);
-      bytes_delivered_ += fresh.size();
       rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
       if (on_data_) on_data_(fresh);
       out_of_order_.erase(it);

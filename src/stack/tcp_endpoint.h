@@ -54,8 +54,6 @@ class TcpConnection {
 
   State state() const { return state_; }
   const netsim::FiveTuple& tuple() const { return tuple_; }  // local -> remote
-  std::uint64_t bytes_delivered() const { return bytes_delivered_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
   bool was_reset() const { return was_reset_; }
 
@@ -135,8 +133,6 @@ class TcpConnection {
   bool timer_armed_ = false;
 
   // Stats / callbacks.
-  std::uint64_t bytes_delivered_ = 0;
-  std::uint64_t bytes_sent_ = 0;
   std::uint64_t retransmissions_ = 0;
   bool was_reset_ = false;
   EventCallback on_established_;

@@ -25,7 +25,6 @@ void UdpSocket::deliver(const netsim::PacketView& pkt, bool truncated) {
   in.payload.assign(payload.begin(), payload.end());
   in.truncated = truncated;
   ++datagrams_received_;
-  bytes_received_ += in.payload.size();
   if (on_receive_) on_receive_(in);
 }
 

@@ -29,7 +29,6 @@ class UdpSocket {
   void send_to(std::uint32_t dst_ip, std::uint16_t dst_port, BytesView payload);
 
   std::uint64_t datagrams_received() const { return datagrams_received_; }
-  std::uint64_t bytes_received() const { return bytes_received_; }
 
   /// Stack-internal.
   void deliver(const netsim::PacketView& pkt, bool truncated);
@@ -39,7 +38,6 @@ class UdpSocket {
   std::uint16_t port_;
   ReceiveCallback on_receive_;
   std::uint64_t datagrams_received_ = 0;
-  std::uint64_t bytes_received_ = 0;
 };
 
 }  // namespace liberate::stack

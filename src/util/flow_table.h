@@ -148,12 +148,6 @@ class FlowTable {
     return true;
   }
 
-  /// The coldest entry's key (nullptr when empty). Only valid until the
-  /// next mutating call.
-  const Key* lru_key() const {
-    return tail_ == kNil ? nullptr : &slots_.template col<0>()[tail_];
-  }
-
   /// Erase the least-recently-used entry; optionally reports its key.
   bool evict_lru(Key* evicted = nullptr) {
     if (tail_ == kNil) return false;

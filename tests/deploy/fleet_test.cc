@@ -4,6 +4,7 @@
 // hot-swap every shard's shim, all byte-identically for any worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "deploy/fleet.h"
@@ -372,6 +373,122 @@ TEST(FleetPacketLevel, CraftedFlowsCompleteAndMergeDeterministically) {
   // Byte-identical merge at any worker count, like the full-stack path.
   EXPECT_EQ(report.summary(), run_with(2).summary());
   EXPECT_EQ(report.summary(), run_with(8).summary());
+}
+
+// A shard world lives for the whole session, so its pre-DPI tap must not
+// keep every datagram the session sent: after run() each shard's tap holds
+// only datagrams of the last wave, in both flow modes.
+TEST(FleetTap, ShardTapsHoldOnlyTheLastWave) {
+  for (FlowMode mode : {FlowMode::kPacketLevel, FlowMode::kFullStack}) {
+    obs::reset_all();
+    constexpr std::size_t kShards = 2;
+    constexpr std::size_t kWaves = 3;
+    FleetOptions opts;
+    opts.shards = kShards;
+    opts.flows_per_wave = 8;
+    opts.waves = kWaves;
+    opts.flow_mode = mode;
+    // The classifier-change hook sees every shard's world (then the probe
+    // world); a no-op change at wave 0 just captures them.
+    std::vector<dpi::Environment*> envs;
+    opts.change_at_wave = 0;
+    opts.classifier_change = [&](dpi::Environment& env) {
+      envs.push_back(&env);
+    };
+    // Shard loops are idle between waves: their clocks at the end of the
+    // second-to-last wave are where the last wave starts.
+    std::vector<netsim::TimePoint> last_wave_start;
+    opts.on_wave = [&](const FleetWaveReport& w) {
+      if (w.wave + 2 != kWaves) return;
+      for (std::size_t i = 0; i < kShards; ++i) {
+        last_wave_start.push_back(envs[i]->loop.now());
+      }
+    };
+    FleetEngine engine(opts);
+    engine.run(trace::amazon_video_trace(2 * 1024));
+
+    ASSERT_EQ(envs.size(), kShards + 1);
+    ASSERT_EQ(last_wave_start.size(), kShards);
+    for (std::size_t i = 0; i < kShards; ++i) {
+      const netsim::TapElement* tap = envs[i]->pre_middlebox_tap;
+      ASSERT_NE(tap, nullptr);
+      EXPECT_FALSE(tap->seen().empty()) << "shard " << i;
+      for (const netsim::TapElement::Seen& s : tap->seen()) {
+        ASSERT_GE(s.at, last_wave_start[i])
+            << "shard " << i << " still holds an earlier wave's datagram";
+      }
+    }
+  }
+}
+
+// Shard worlds record provenance for 1 flow in kShardProvenanceSampleEvery,
+// decided from header bytes: the same flows get the same ledgers at any
+// worker count, and each is a sampled flow carrying its DPI decisions.
+TEST(FleetProvenance, ShardLedgersAreSampledAndWorkerCountIndependent) {
+#if LIBERATE_OBS_LEVEL < 2
+  GTEST_SKIP() << "provenance compiled out below obs level 2";
+#else
+  constexpr std::size_t kFlows = 4 * 256 * 3;
+  auto shard_ledgers = [](std::size_t workers) {
+    obs::reset_all();
+    obs::TimeSeriesStore::instance().reset();
+    FleetOptions opts;
+    opts.shards = 4;
+    opts.flows_per_wave = 256;
+    opts.waves = 3;
+    opts.workers = workers;
+    opts.flow_mode = FlowMode::kPacketLevel;
+    FleetEngine engine(opts);
+    engine.run(trace::amazon_video_trace(4 * 1024));
+    // Scope 0 holds the control plane and the deploy-time analysis, which
+    // record every flow; shard worlds record under their own scopes.
+    std::vector<obs::prov::LedgerSnapshot> out;
+    obs::prov::ProvSnapshot snap =
+        obs::prov::ProvenanceRecorder::instance().snapshot();
+    for (auto& l : snap.ledgers) {
+      if (l.scope != 0) out.push_back(std::move(l));
+    }
+    return out;
+  };
+  auto render = [](const std::vector<obs::prov::LedgerSnapshot>& ledgers) {
+    std::string out;
+    for (const auto& l : ledgers) {
+      out += std::to_string(l.scope) + " " + l.flow.to_string() + "\n";
+      for (const auto& r : l.records) {
+        out += "  " + std::to_string(r.ts_us) + " " + r.kind + " " +
+               obs::prov::id_hex(r.pkt);
+        for (const auto& f : r.fields) out += " " + f.key + "=" + f.value;
+        out += "\n";
+      }
+    }
+    return out;
+  };
+
+  const auto ledgers = shard_ledgers(0);
+  ASSERT_FALSE(ledgers.empty());
+  EXPECT_LT(ledgers.size(), kFlows / 16);  // sampled, not everything
+  const std::set<std::string> dpi_kinds = {"rules-evaluated", "dpi-skip",
+                                           "dpi-gave-up",     "dpi-flush",
+                                           "verdict",         "policy-drop"};
+  std::set<std::uint64_t> scopes;
+  for (const auto& l : ledgers) {
+    scopes.insert(l.scope);
+    {
+      obs::prov::ScopedProvScope scope(l.scope, kShardProvenanceSampleEvery);
+      EXPECT_TRUE(obs::prov::ProvenanceRecorder::sampled(l.flow))
+          << l.flow.to_string();
+    }
+    const bool has_dpi = std::any_of(
+        l.records.begin(), l.records.end(),
+        [&](const auto& r) { return dpi_kinds.count(r.kind) != 0; });
+    EXPECT_TRUE(has_dpi) << l.flow.to_string();
+  }
+  EXPECT_EQ(scopes.size(), 4u);  // every shard sampled some of its flows
+
+  const std::string reference = render(ledgers);
+  EXPECT_EQ(reference, render(shard_ledgers(2)));
+  EXPECT_EQ(reference, render(shard_ledgers(8)));
+#endif
 }
 
 // Degenerate inputs must surface as zero rates, never NaN: zero-flow

@@ -300,6 +300,10 @@ TEST(Recharacterize, FingerprintMatchDeploysAdoptedEntryWithProbedDigest) {
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->digest, known.digest);
   EXPECT_EQ(stored->ambiguity, probed);
+  // Stored as deployed: the technique that works here leads, not the
+  // matched entry's cost-order front that already failed.
+  ASSERT_FALSE(stored->ranking.empty());
+  EXPECT_EQ(stored->ranking.front().name, out.technique);
 }
 
 }  // namespace

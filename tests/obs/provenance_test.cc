@@ -259,7 +259,8 @@ TEST_F(ProvenanceTest, ChromeTraceHasTraceEventSchema) {
   Bytes parent = fake_ipv4(6, 1, 1, 2, 2, {1});
   Bytes child = fake_ipv4(6, 1, 1, 2, 2, {2});
   rec.edge(10, parent, child, "split", "tcp-segmentation");
-  rec.note_pkt(20, child, "verdict", {fv("class", "video")});
+  rec.note_pkt(20, flow_key_of(child), child, "verdict",
+               {fv("class", "video")});
 
   std::string json = to_chrome_trace_json(capture());
   // Chrome trace-event "JSON Object Format": a traceEvents array of events
@@ -279,7 +280,8 @@ TEST_F(ProvenanceTest, ChromeTraceHasTraceEventSchema) {
 
 TEST_F(ProvenanceTest, SnapshotSummaryReachesTelemetryJson) {
   auto& rec = ProvenanceRecorder::instance();
-  rec.note_pkt(30, fake_ipv4(6, 1, 1, 2, 2, {5}), "dpi-skip",
+  const Bytes d = fake_ipv4(6, 1, 1, 2, 2, {5});
+  rec.note_pkt(30, flow_key_of(d), d, "dpi-skip",
                {fv("reason", "invalid-packet")});
   std::string telemetry = to_json(capture());
   EXPECT_NE(telemetry.find("\"provenance\":{"), std::string::npos);
@@ -305,8 +307,8 @@ TEST_F(ProvenanceTest, ProvenanceConcurrencyManyThreads) {
         rec.packet(parent, "tcp");
         rec.edge(static_cast<std::uint64_t>(i), parent, child, "split",
                  "stress");
-        rec.note_pkt(static_cast<std::uint64_t>(i), child, "rules-evaluated",
-                     {fv("tried", std::int64_t{i})});
+        rec.note_pkt(static_cast<std::uint64_t>(i), flow_key_of(child), child,
+                     "rules-evaluated", {fv("tried", std::int64_t{i})});
       }
     });
   }
@@ -353,8 +355,8 @@ class ProvenanceConcurrency : public ProvenanceTest {
       if ((t + s) % 3 == 0) rec.packet(parent, "tcp");
       rec.edge(static_cast<std::uint64_t>(p * 100 + c), parent, child, "split",
                "stress", "of " + std::to_string(p));
-      rec.note_pkt(static_cast<std::uint64_t>(s), child, "rules-evaluated",
-                   {fv("task", t), fv("step", s)});
+      rec.note_pkt(static_cast<std::uint64_t>(s), flow_key_of(child), child,
+                   "rules-evaluated", {fv("task", t), fv("step", s)});
       if (s % 5 == 0) {
         rec.note(static_cast<std::uint64_t>(s), flow_key_of(parent), "dpi-skip",
                  {fv("reason", "stress")});
