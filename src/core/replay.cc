@@ -35,6 +35,19 @@ std::size_t match_message_index(const ApplicationTrace& trace,
   return 0;
 }
 
+/// The round's pauses around the matching message: the caller's plus the
+/// technique's flushing pauses.
+TimingPlan round_pauses(const ReplayOptions& options) {
+  TimingPlan pauses{options.pause_before_match_s,
+                    options.pause_after_match_s};
+  if (options.technique != nullptr) {
+    const TimingPlan plan = options.technique->timing(options.context);
+    pauses.pause_before_match_s += plan.pause_before_match_s;
+    pauses.pause_after_match_s += plan.pause_after_match_s;
+  }
+  return pauses;
+}
+
 /// One side of a TCP replay: walks the message list in order, sending its
 /// own messages (with per-message delays) and consuming/verifying the
 /// peer's.
@@ -169,6 +182,49 @@ std::vector<RoundResult> ReplayRunner::run_batch(
   return results;
 }
 
+ReplayRunner::Round ReplayRunner::open_round(const ReplayOptions& options,
+                                             std::uint32_t server_ip) {
+  Round round;
+  round.shim = std::make_unique<EvasionShim>(
+      env_.net.client_port(), options.technique, options.context);
+  round.shim->set_match_packet_ttl(options.match_packet_ttl);
+  round.client = std::make_unique<Host>(*round.shim, kClientIp,
+                                        OsProfile::linux_profile());
+  round.server = std::make_unique<Host>(env_.net.server_port(), server_ip,
+                                        env_.server_os);
+  env_.net.attach_client(round.client.get());
+  env_.net.attach_server(round.server.get());
+  if (env_.dpi != nullptr) {
+    round.usage_before = env_.dpi->usage_counter_bytes();
+    round.log_before = env_.dpi->engine().log().size();
+  }
+  return round;
+}
+
+void ReplayRunner::read_meter(const Round& round, ReplayOutcome& outcome) {
+  // Zero-rating meter (lagging, polluted by background traffic — §6.2).
+  if (env_.dpi == nullptr) return;
+  std::uint64_t delta = env_.dpi->usage_counter_bytes() - round.usage_before;
+  if (env_.signal == dpi::Environment::Signal::kZeroRating) {
+    delta += rng_.below(25 * 1024);
+  }
+  outcome.usage_delta = delta;
+  const auto& log = env_.dpi->engine().log();
+  outcome.classifications.assign(
+      log.begin() + static_cast<std::ptrdiff_t>(round.log_before), log.end());
+}
+
+void ReplayRunner::retire(Round round, Duration drain) {
+  // Loop callbacks may still reference the endpoints: drain briefly, then
+  // keep them alive with the runner.
+  env_.loop.run_for(drain);
+  env_.net.attach_client(nullptr);
+  env_.net.attach_server(nullptr);
+  retired_hosts_.push_back(std::move(round.client));
+  retired_hosts_.push_back(std::move(round.server));
+  retired_shims_.push_back(std::move(round.shim));
+}
+
 ReplayOutcome ReplayRunner::run_tcp(const ApplicationTrace& trace,
                                     const ReplayOptions& options) {
   ReplayOutcome outcome;
@@ -183,34 +239,15 @@ ReplayOutcome ReplayRunner::run_tcp(const ApplicationTrace& trace,
   if (next_client_port_ < 42001) next_client_port_ = 42001;
 
   // Fresh endpoints for this round.
-  auto shim = std::make_unique<EvasionShim>(env_.net.client_port(),
-                                            options.technique,
-                                            options.context);
-  shim->set_match_packet_ttl(options.match_packet_ttl);
-  auto client = std::make_unique<Host>(*shim, kClientIp,
-                                       OsProfile::linux_profile());
-  auto server =
-      std::make_unique<Host>(env_.net.server_port(), server_ip,
-                             env_.server_os);
-  env_.net.attach_client(client.get());
-  env_.net.attach_server(server.get());
+  Round round = open_round(options, server_ip);
   if (env_.pre_middlebox_tap != nullptr) env_.pre_middlebox_tap->clear();
-
-  const std::uint64_t usage_before =
-      env_.dpi != nullptr ? env_.dpi->usage_counter_bytes() : 0;
-  const std::size_t log_before =
-      env_.dpi != nullptr ? env_.dpi->engine().log().size() : 0;
 
   // Per-message extra delays implementing the flushing pauses.
   std::vector<Duration> extra_delay(trace.messages.size(), 0);
   {
-    double before_s = options.pause_before_match_s;
-    double after_s = options.pause_after_match_s;
-    if (options.technique != nullptr) {
-      TimingPlan plan = options.technique->timing(options.context);
-      before_s += plan.pause_before_match_s;
-      after_s += plan.pause_after_match_s;
-    }
+    const TimingPlan pauses = round_pauses(options);
+    const double before_s = pauses.pause_before_match_s;
+    const double after_s = pauses.pause_after_match_s;
     std::size_t match_idx =
         match_message_index(trace, options.context.matching_snippets);
     if (before_s > 0 && match_idx < extra_delay.size()) {
@@ -237,7 +274,7 @@ ReplayOutcome ReplayRunner::run_tcp(const ApplicationTrace& trace,
   bool server_reset = false;
   TcpConnection* server_conn = nullptr;
 
-  server->tcp_listen(server_port, [&](TcpConnection& c) {
+  round.server->tcp_listen(server_port, [&](TcpConnection& c) {
     server_conn = &c;
     server_side.conn = &c;
     server_side.established = true;
@@ -247,7 +284,7 @@ ReplayOutcome ReplayRunner::run_tcp(const ApplicationTrace& trace,
   });
 
   TcpConnection& conn =
-      client->tcp_connect(server_ip, server_port, client_port);
+      round.client->tcp_connect(server_ip, server_port, client_port);
   outcome.flow = conn.tuple();
   client_side.conn = &conn;
   conn.on_data([&](BytesView d) { client_side.on_data(d); });
@@ -292,7 +329,7 @@ ReplayOutcome ReplayRunner::run_tcp(const ApplicationTrace& trace,
       outcome.got_403 = true;
     }
   }
-  for (BytesView d : client->raw_received()) {
+  for (BytesView d : round.client->raw_received()) {
     auto p = netsim::parse_packet(d);
     if (!p.ok() || !p.value().is_tcp()) continue;
     const auto& pv = p.value();
@@ -312,7 +349,7 @@ ReplayOutcome ReplayRunner::run_tcp(const ApplicationTrace& trace,
       outcome.got_403;
 
   // RS?: crafted packets on the server's wire.
-  for (BytesView d : server->raw_received()) {
+  for (BytesView d : round.server->raw_received()) {
     auto p = netsim::parse_ipv4(d);
     if (!p.ok()) continue;
     if (p.value().identification == kCraftedIpId) {
@@ -325,32 +362,15 @@ ReplayOutcome ReplayRunner::run_tcp(const ApplicationTrace& trace,
     }
   }
 
-  // Zero-rating meter (lagging, polluted by background traffic — §6.2).
-  if (env_.dpi != nullptr) {
-    std::uint64_t delta = env_.dpi->usage_counter_bytes() - usage_before;
-    if (env_.signal == dpi::Environment::Signal::kZeroRating) {
-      delta += rng_.below(25 * 1024);
-    }
-    outcome.usage_delta = delta;
-    const auto& log = env_.dpi->engine().log();
-    for (std::size_t i = log_before; i < log.size(); ++i) {
-      outcome.classifications.push_back(log[i]);
-    }
-  }
+  read_meter(round, outcome);
 
-  // Teardown: abort whatever is still open, drain the loop briefly, retire
-  // the hosts (loop callbacks may still reference them).
+  // Teardown: abort whatever is still open, then retire the round.
   if (conn.state() != TcpConnection::State::kClosed) conn.abort();
   if (server_conn != nullptr &&
       server_conn->state() != TcpConnection::State::kClosed) {
     server_conn->abort();
   }
-  env_.loop.run_for(seconds(3));
-  env_.net.attach_client(nullptr);
-  env_.net.attach_server(nullptr);
-  retired_hosts_.push_back(std::move(client));
-  retired_hosts_.push_back(std::move(server));
-  retired_shims_.push_back(std::move(shim));
+  retire(std::move(round), seconds(3));
   return outcome;
 }
 
@@ -366,28 +386,14 @@ ReplayOutcome ReplayRunner::run_udp(const ApplicationTrace& trace,
       options.server_ip_override ? options.server_ip_override : kServerIp;
   const std::uint16_t client_port = next_client_port_++;
 
-  auto shim = std::make_unique<EvasionShim>(env_.net.client_port(),
-                                            options.technique,
-                                            options.context);
-  shim->set_match_packet_ttl(options.match_packet_ttl);
-  auto client = std::make_unique<Host>(*shim, kClientIp,
-                                       OsProfile::linux_profile());
-  auto server = std::make_unique<Host>(env_.net.server_port(), server_ip,
-                                       env_.server_os);
-  env_.net.attach_client(client.get());
-  env_.net.attach_server(server.get());
-
-  const std::uint64_t usage_before =
-      env_.dpi != nullptr ? env_.dpi->usage_counter_bytes() : 0;
-  const std::size_t log_before =
-      env_.dpi != nullptr ? env_.dpi->engine().log().size() : 0;
+  Round round = open_round(options, server_ip);
 
   outcome.flow = netsim::FiveTuple{
       kClientIp, server_ip, client_port, server_port,
       static_cast<std::uint8_t>(netsim::IpProto::kUdp)};
 
-  auto& client_sock = client->udp_bind(client_port);
-  auto& server_sock = server->udp_bind(server_port);
+  auto& client_sock = round.client->udp_bind(client_port);
+  auto& server_sock = round.server->udp_bind(server_port);
 
   // Receivers tolerate reordering: each datagram is matched against the set
   // of still-pending messages from the peer.
@@ -428,19 +434,17 @@ ReplayOutcome ReplayRunner::run_udp(const ApplicationTrace& trace,
   // Schedule all sends at their cumulative offsets (pauses included).
   std::size_t match_idx =
       match_message_index(trace, options.context.matching_snippets);
+  const TimingPlan pauses = round_pauses(options);
   Duration at = netsim::milliseconds(1);
   for (std::size_t i = 0; i < trace.messages.size(); ++i) {
     const trace::Message& m = trace.messages[i];
     at += m.gap_us;
-    double before_s = options.pause_before_match_s;
-    double after_s = options.pause_after_match_s;
-    if (options.technique != nullptr) {
-      TimingPlan plan = options.technique->timing(options.context);
-      before_s += plan.pause_before_match_s;
-      after_s += plan.pause_after_match_s;
+    if (i == match_idx) {
+      at += static_cast<Duration>(pauses.pause_before_match_s * 1e6);
     }
-    if (i == match_idx) at += static_cast<Duration>(before_s * 1e6);
-    if (i == match_idx + 1) at += static_cast<Duration>(after_s * 1e6);
+    if (i == match_idx + 1) {
+      at += static_cast<Duration>(pauses.pause_after_match_s * 1e6);
+    }
     if (m.sender == Sender::kClient) {
       env_.loop.schedule(at, [&client_sock, &m, server_port, server_ip]() {
         client_sock.send_to(server_ip, server_port, BytesView(m.payload));
@@ -471,30 +475,14 @@ ReplayOutcome ReplayRunner::run_udp(const ApplicationTrace& trace,
                            netsim::to_seconds(at_client.last - at_client.first) /
                            1e6;
   }
-  for (BytesView d : server->raw_received()) {
+  for (BytesView d : round.server->raw_received()) {
     auto p = netsim::parse_ipv4(d);
     if (p.ok() && p.value().identification == kCraftedIpId) {
       outcome.crafted_at_server += 1;
     }
   }
-  if (env_.dpi != nullptr) {
-    std::uint64_t delta = env_.dpi->usage_counter_bytes() - usage_before;
-    if (env_.signal == dpi::Environment::Signal::kZeroRating) {
-      delta += rng_.below(25 * 1024);
-    }
-    outcome.usage_delta = delta;
-    const auto& log = env_.dpi->engine().log();
-    for (std::size_t i = log_before; i < log.size(); ++i) {
-      outcome.classifications.push_back(log[i]);
-    }
-  }
-
-  env_.loop.run_for(seconds(1));
-  env_.net.attach_client(nullptr);
-  env_.net.attach_server(nullptr);
-  retired_hosts_.push_back(std::move(client));
-  retired_hosts_.push_back(std::move(server));
-  retired_shims_.push_back(std::move(shim));
+  read_meter(round, outcome);
+  retire(std::move(round), seconds(1));
   return outcome;
 }
 

@@ -173,6 +173,22 @@ class ReplayRunner : public ProbeExecutor {
   ReplayOutcome run_udp(const trace::ApplicationTrace& trace,
                         const ReplayOptions& options);
 
+  /// One round's endpoints, and where the DPI meter stood when it opened.
+  struct Round {
+    std::unique_ptr<EvasionShim> shim;
+    std::unique_ptr<stack::Host> client;
+    std::unique_ptr<stack::Host> server;
+    std::uint64_t usage_before = 0;
+    std::size_t log_before = 0;
+  };
+  /// Build the round's shim and hosts, attach them and mark the meter.
+  Round open_round(const ReplayOptions& options, std::uint32_t server_ip);
+  /// Read the meter into `outcome`: the usage delta (plus the zero-rating
+  /// noise draw) and the classifications logged since the round opened.
+  void read_meter(const Round& round, ReplayOutcome& outcome);
+  /// Drain the loop for `drain`, detach the endpoints and retire them.
+  void retire(Round round, netsim::Duration drain);
+
   dpi::Environment& env_;
   Rng rng_;
   std::uint16_t next_client_port_ = 42001;

@@ -294,11 +294,13 @@ FleetDelta FleetEngine::run_wave(Shard& shard, const ApplicationTrace& trace,
   // its shim mutates) attributes to the fleet phase, on any thread.
   LIBERATE_COST_SCOPE(kFleet);
   LIBERATE_PROV_SCOPE(shard.seed, kShardProvenanceSampleEvery);
-  // The pre-DPI tap copies every datagram it passes, and a shard world
-  // lives for the whole session: keep only the current wave's.
+  // The pre-DPI tap copies every datagram it passes, and the DPI engine
+  // logs every classification; a shard world lives for the whole session
+  // and reads neither, so keep only the current wave's.
   if (shard.env->pre_middlebox_tap != nullptr) {
     shard.env->pre_middlebox_tap->clear();
   }
+  if (shard.env->dpi != nullptr) shard.env->dpi->engine().clear_log();
 
   WaveStats stats;
   if (options_.flow_mode == FlowMode::kPacketLevel) {

@@ -45,15 +45,6 @@ struct RawTcp {
   std::size_t tcp_len = 0;
 };
 
-std::uint16_t rd16(const Bytes& b, std::size_t i) {
-  return static_cast<std::uint16_t>((b[i] << 8) | b[i + 1]);
-}
-std::uint32_t rd32(const Bytes& b, std::size_t i) {
-  return (static_cast<std::uint32_t>(b[i]) << 24) |
-         (static_cast<std::uint32_t>(b[i + 1]) << 16) |
-         (static_cast<std::uint32_t>(b[i + 2]) << 8) | b[i + 3];
-}
-
 /// Minimal, allocation-free TCP view: enough to key the flow and bound the
 /// payload. Returns false for anything that is not a plausible IPv4 TCP
 /// datagram (ICMP errors from TTL-limited inert packets, fragments, short
@@ -64,9 +55,9 @@ bool parse_raw_tcp(const Bytes& b, RawTcp* out) {
   const std::size_t ihl = static_cast<std::size_t>(b[0] & 0x0F) * 4;
   if (ihl < 20 || b.size() < ihl + 20) return false;
   if (b[9] != 6) return false;
-  const std::uint16_t frag = rd16(b, 6);
+  const std::uint16_t frag = load_u16(b, 6);
   if ((frag & 0x1FFF) != 0) return false;  // non-first fragment: no ports
-  std::size_t total = rd16(b, 2);
+  std::size_t total = load_u16(b, 2);
   // Tolerate a lying Total Length (inert "longer than payload" rows) by
   // clamping to the buffer; the checksum check rejects corrupt payloads.
   total = std::min(total, b.size());
@@ -74,11 +65,11 @@ bool parse_raw_tcp(const Bytes& b, RawTcp* out) {
   const std::size_t doff =
       static_cast<std::size_t>(b[ihl + 12] >> 4) * 4;
   if (doff < 20 || ihl + doff > total) return false;
-  out->src_ip = rd32(b, 12);
-  out->dst_ip = rd32(b, 16);
-  out->src_port = rd16(b, ihl);
-  out->dst_port = rd16(b, ihl + 2);
-  out->seq = rd32(b, ihl + 4);
+  out->src_ip = load_u32(b, 12);
+  out->dst_ip = load_u32(b, 16);
+  out->src_port = load_u16(b, ihl);
+  out->dst_port = load_u16(b, ihl + 2);
+  out->seq = load_u32(b, ihl + 4);
   out->flags = b[ihl + 13];
   out->payload_len = static_cast<std::uint16_t>(total - ihl - doff);
   out->tcp_off = ihl;

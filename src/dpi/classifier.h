@@ -209,6 +209,7 @@ class DpiEngine {
   const ClassifierConfig& config() const { return config_; }
   const std::vector<ClassificationEvent>& log() const { return log_; }
   std::size_t tracked_flows() const { return flows_.size(); }
+  void clear_log() { log_.clear(); }
 
   /// Swap the rule set at runtime (classifier-rule-change adaptation tests).
   /// Recompiles the match program (memoized — swapping back and forth

@@ -10,10 +10,26 @@
 // never touch the heap. A replay round schedules one event per packet per
 // hop — with std::function's small-buffer limit those all heap-allocated,
 // and the malloc/free pair per hop was visible in round profiles.
+//
+// What a step costs. The loop orders 24-byte keys {when, seq, slot}, not
+// tasks: a task is moved into a slot table once at schedule() and out once
+// at step(), whatever the queue depth. A key joins a FIFO run when the run
+// is empty or its tail is not later than the key; a key earlier than the
+// tail goes to a binary heap. Keys scheduled in time order (constant hop
+// delays) cost O(1) in the run; jittered faults and timers that interleave
+// with hops pay the heap's O(log n) moves of 24-byte keys.
+//
+// Why the order is unchanged. seq grows with every schedule(), so a key
+// appended to the run (its time not earlier than the tail's) is larger by
+// (when, seq) than every key already there: the run stays sorted, and step()
+// pops the smaller of the run's head and the heap's top. That is exactly
+// the (when, seq) order of one priority queue holding every event, so no
+// tie can move.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <new>
 #include <queue>
 #include <type_traits>
@@ -130,49 +146,80 @@ class EventLoop {
 
   /// Schedule `fn` to run `delay` after the current time.
   void schedule(Duration delay, Callback fn) {
-    queue_.push(Event{now_ + delay, next_seq_++, std::move(fn)});
+    const Key key{now_ + delay, next_seq_++, park(std::move(fn))};
+    if (run_.empty() || run_.back().when <= key.when) {
+      run_.push_back(key);
+    } else {
+      heap_.push(key);
+    }
   }
 
   /// Run events until the queue is empty. Advances virtual time.
   void run_until_idle() {
-    while (!queue_.empty()) step();
+    while (!idle()) step();
   }
 
   /// Run events with timestamps <= deadline, then set now() to the deadline
   /// (even if idle earlier), so "wait 120 seconds" always advances time.
   void run_until(TimePoint deadline) {
-    while (!queue_.empty() && queue_.top().when <= deadline) step();
+    while (!idle() && next().when <= deadline) step();
     if (now_ < deadline) now_ = deadline;
   }
 
   void run_for(Duration d) { run_until(now_ + d); }
 
-  bool idle() const { return queue_.empty(); }
-  std::size_t pending() const { return queue_.size(); }
+  bool idle() const { return run_.empty() && heap_.empty(); }
+  std::size_t pending() const { return run_.size() + heap_.size(); }
 
  private:
-  struct Event {
-    TimePoint when;
-    std::uint64_t seq;
-    Callback fn;
-    bool operator>(const Event& o) const {
+  struct Key {
+    TimePoint when = 0;
+    std::uint64_t seq = 0;
+    std::size_t slot = 0;  // index into tasks_
+    bool operator>(const Key& o) const {
       if (when != o.when) return when > o.when;
       return seq > o.seq;
     }
   };
 
-  void step() {
-    // The callback may schedule more events; pop first. top() is const, but
-    // moving from the root element immediately before pop() is safe — the
-    // heap is never inspected in between — and avoids copying the callback
-    // (whose captures often include a full datagram buffer).
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = ev.when;
-    ev.fn();
+  /// Whether the smallest pending key heads the run (else the heap).
+  bool run_first() const {
+    return heap_.empty() || (!run_.empty() && heap_.top() > run_.front());
+  }
+  const Key& next() const { return run_first() ? run_.front() : heap_.top(); }
+
+  std::size_t park(Callback&& fn) {
+    if (free_.empty()) {
+      tasks_.push_back(std::move(fn));
+      return tasks_.size() - 1;
+    }
+    const std::size_t slot = free_.back();
+    free_.pop_back();
+    tasks_[slot] = std::move(fn);
+    return slot;
   }
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  void step() {
+    Key key;
+    if (run_first()) {
+      key = run_.front();
+      run_.pop_front();
+    } else {
+      key = heap_.top();
+      heap_.pop();
+    }
+    now_ = key.when;
+    // The callback may schedule more events, which can grow tasks_: run it
+    // from a local, and free its slot first so that schedule can reuse it.
+    Callback fn = std::move(tasks_[key.slot]);
+    free_.push_back(key.slot);
+    fn();
+  }
+
+  std::deque<Key> run_;  // sorted by (when, seq): appended in time order
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> heap_;
+  std::vector<Callback> tasks_;    // slot table; keys point into it
+  std::vector<std::size_t> free_;  // empty slots of tasks_
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
 };

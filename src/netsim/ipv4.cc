@@ -113,23 +113,22 @@ Result<Ipv4View> parse_ipv4(BytesView datagram) {
   }
   Ipv4View v;
   v.datagram_size = datagram.size();
-  ByteReader r(datagram);
-  std::uint8_t vihl = r.u8().value();
-  v.version = vihl >> 4;
-  v.ihl_words = vihl & 0xf;
-  v.dscp_ecn = r.u8().value();
-  v.total_length = r.u16().value();
-  v.identification = r.u16().value();
-  std::uint16_t frag = r.u16().value();
+  // The fixed header is in range: plain loads, no Result per field.
+  v.version = datagram[0] >> 4;
+  v.ihl_words = datagram[0] & 0xf;
+  v.dscp_ecn = datagram[1];
+  v.total_length = load_u16(datagram, 2);
+  v.identification = load_u16(datagram, 4);
+  const std::uint16_t frag = load_u16(datagram, 6);
   v.flag_reserved = (frag & 0x8000) != 0;
   v.flag_dont_fragment = (frag & 0x4000) != 0;
   v.flag_more_fragments = (frag & 0x2000) != 0;
   v.fragment_offset_words = frag & 0x1fff;
-  v.ttl = r.u8().value();
-  v.protocol = r.u8().value();
-  v.checksum = r.u16().value();
-  v.src = r.u32().value();
-  v.dst = r.u32().value();
+  v.ttl = datagram[8];
+  v.protocol = datagram[9];
+  v.checksum = load_u16(datagram, 10);
+  v.src = load_u32(datagram, 12);
+  v.dst = load_u32(datagram, 16);
 
   v.bad_version = v.version != 4;
 
@@ -207,13 +206,10 @@ void refresh_ipv4_checksum(Bytes& datagram) {
 void set_ttl_in_place(Bytes& datagram, std::uint8_t new_ttl) {
   if (datagram.size() < 20) return;
   // Incremental checksum update per RFC 1624: HC' = ~(~HC + ~m + m').
-  std::uint16_t old_word = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(datagram[8]) << 8) | datagram[9]);
+  std::uint16_t old_word = load_u16(datagram, 8);
   datagram[8] = new_ttl;
-  std::uint16_t new_word = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(new_ttl) << 8) | datagram[9]);
-  std::uint16_t hc = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(datagram[10]) << 8) | datagram[11]);
+  std::uint16_t new_word = load_u16(datagram, 8);
+  std::uint16_t hc = load_u16(datagram, 10);
   std::uint32_t sum = static_cast<std::uint16_t>(~hc);
   sum += static_cast<std::uint16_t>(~old_word);
   sum += new_word;

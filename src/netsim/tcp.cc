@@ -57,17 +57,16 @@ Result<TcpView> parse_tcp(BytesView segment) {
     return Error("tcp: segment shorter than fixed header");
   }
   TcpView v;
-  ByteReader r(segment);
-  v.src_port = r.u16().value();
-  v.dst_port = r.u16().value();
-  v.seq = r.u32().value();
-  v.ack = r.u32().value();
-  std::uint8_t off = r.u8().value();
-  v.data_offset_words = off >> 4;
-  v.flags = r.u8().value();
-  v.window = r.u16().value();
-  v.checksum = r.u16().value();
-  v.urgent_ptr = r.u16().value();
+  // The fixed header is in range: plain loads, no Result per field.
+  v.src_port = load_u16(segment, 0);
+  v.dst_port = load_u16(segment, 2);
+  v.seq = load_u32(segment, 4);
+  v.ack = load_u32(segment, 8);
+  v.data_offset_words = segment[12] >> 4;
+  v.flags = segment[13];
+  v.window = load_u16(segment, 14);
+  v.checksum = load_u16(segment, 16);
+  v.urgent_ptr = load_u16(segment, 18);
 
   std::size_t declared_header = static_cast<std::size_t>(v.data_offset_words) * 4;
   if (v.data_offset_words < 5 || declared_header > segment.size()) {

@@ -37,11 +37,10 @@ Result<UdpView> parse_udp(BytesView datagram) {
     return Error("udp: datagram shorter than header");
   }
   UdpView v;
-  ByteReader r(datagram);
-  v.src_port = r.u16().value();
-  v.dst_port = r.u16().value();
-  v.length = r.u16().value();
-  v.checksum = r.u16().value();
+  v.src_port = load_u16(datagram, 0);
+  v.dst_port = load_u16(datagram, 2);
+  v.length = load_u16(datagram, 4);
+  v.checksum = load_u16(datagram, 6);
   v.payload = datagram.subspan(8);
   if (v.length != datagram.size()) {
     v.bad_length = true;
@@ -54,8 +53,7 @@ Result<UdpView> parse_udp(BytesView datagram) {
 bool udp_checksum_ok(BytesView datagram, std::uint32_t src_ip,
                      std::uint32_t dst_ip) {
   if (datagram.size() < 8) return false;
-  std::uint16_t stored = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(datagram[6]) << 8) | datagram[7]);
+  const std::uint16_t stored = load_u16(datagram, 6);
   if (stored == 0) return true;  // checksum not computed by sender
   std::uint32_t sum = 0;
   sum += (src_ip >> 16) & 0xffff;

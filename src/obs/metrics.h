@@ -127,15 +127,17 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    MetricsSnapshot snap;
-    for (const auto& [name, c] : counters_) snap.counters[name] = c->total();
-    for (const auto& [name, g] : gauges_) {
-      snap.gauges[name] = GaugeSnapshot{g->value(), g->high_water()};
-    }
+    MetricsSnapshot snap = scalars_locked();
     for (const auto& [name, h] : hdrs_) {
       snap.hdr_histograms[name] = h->snapshot();
     }
     return snap;
+  }
+  /// Counters and gauges only (hdr_histograms left empty): what a periodic
+  /// tick reads, without merging every histogram's shards.
+  MetricsSnapshot scalars() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return scalars_locked();
   }
 
   /// Zero every metric in place. Handles cached at instrumentation sites
@@ -149,6 +151,15 @@ class MetricsRegistry {
 
  private:
   MetricsRegistry() = default;
+
+  MetricsSnapshot scalars_locked() const {
+    MetricsSnapshot snap;
+    for (const auto& [name, c] : counters_) snap.counters[name] = c->total();
+    for (const auto& [name, g] : gauges_) {
+      snap.gauges[name] = GaugeSnapshot{g->value(), g->high_water()};
+    }
+    return snap;
+  }
 
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -64,7 +64,7 @@ void TimeSeriesStore::sample(std::string_view name, int shard,
 
 void TimeSeriesStore::tick(std::uint64_t t_us,
                            const std::vector<std::string>& prefixes) {
-  MetricsSnapshot metrics = MetricsRegistry::instance().snapshot();
+  MetricsSnapshot metrics = MetricsRegistry::instance().scalars();
   auto matches = [&prefixes](const std::string& name) {
     for (const std::string& p : prefixes) {
       if (name.compare(0, p.size(), p) == 0) return true;

@@ -68,6 +68,18 @@ class ByteWriter {
   Bytes buf_;
 };
 
+/// Big-endian loads at a fixed offset, for codecs whose one up-front length
+/// check already covers every field they read: no Result per field. The
+/// caller guarantees `at + 2` (load_u16) or `at + 4` (load_u32) <= size.
+inline std::uint16_t load_u16(BytesView b, std::size_t at) {
+  return static_cast<std::uint16_t>((b[at] << 8) | b[at + 1]);
+}
+inline std::uint32_t load_u32(BytesView b, std::size_t at) {
+  return (static_cast<std::uint32_t>(b[at]) << 24) |
+         (static_cast<std::uint32_t>(b[at + 1]) << 16) |
+         (static_cast<std::uint32_t>(b[at + 2]) << 8) | b[at + 3];
+}
+
 /// ByteReader consumes big-endian integers and raw spans from a fixed view.
 /// Reads past the end return an Error instead of UB — truncated packets are
 /// routine input here.

@@ -375,9 +375,10 @@ TEST(FleetPacketLevel, CraftedFlowsCompleteAndMergeDeterministically) {
   EXPECT_EQ(report.summary(), run_with(8).summary());
 }
 
-// A shard world lives for the whole session, so its pre-DPI tap must not
-// keep every datagram the session sent: after run() each shard's tap holds
-// only datagrams of the last wave, in both flow modes.
+// A shard world lives for the whole session, so neither its pre-DPI tap
+// nor its DPI classification log (both unread by the fleet) may keep every
+// datagram or verdict the session produced: after run() each holds only the
+// last wave's, in both flow modes.
 TEST(FleetTap, ShardTapsHoldOnlyTheLastWave) {
   for (FlowMode mode : {FlowMode::kPacketLevel, FlowMode::kFullStack}) {
     obs::reset_all();
@@ -389,19 +390,25 @@ TEST(FleetTap, ShardTapsHoldOnlyTheLastWave) {
     opts.waves = kWaves;
     opts.flow_mode = mode;
     // The classifier-change hook sees every shard's world (then the probe
-    // world); a no-op change at wave 0 just captures them.
+    // world). A normalizer at wave 1 defeats the deployed technique, so
+    // that earlier wave classifies flows.
     std::vector<dpi::Environment*> envs;
-    opts.change_at_wave = 0;
+    opts.change_at_wave = 1;
     opts.classifier_change = [&](dpi::Environment& env) {
       envs.push_back(&env);
+      dpi::NormalizerConfig cfg;
+      cfg.reassemble_fragments = true;
+      env.net.emplace_at<dpi::NormalizerElement>(0, cfg);
     };
     // Shard loops are idle between waves: their clocks at the end of the
     // second-to-last wave are where the last wave starts.
     std::vector<netsim::TimePoint> last_wave_start;
+    std::size_t logged_before_last_wave = 0;
     opts.on_wave = [&](const FleetWaveReport& w) {
       if (w.wave + 2 != kWaves) return;
       for (std::size_t i = 0; i < kShards; ++i) {
         last_wave_start.push_back(envs[i]->loop.now());
+        logged_before_last_wave += envs[i]->dpi->engine().log().size();
       }
     };
     FleetEngine engine(opts);
@@ -409,6 +416,7 @@ TEST(FleetTap, ShardTapsHoldOnlyTheLastWave) {
 
     ASSERT_EQ(envs.size(), kShards + 1);
     ASSERT_EQ(last_wave_start.size(), kShards);
+    EXPECT_GT(logged_before_last_wave, 0u) << "no earlier wave classified";
     for (std::size_t i = 0; i < kShards; ++i) {
       const netsim::TapElement* tap = envs[i]->pre_middlebox_tap;
       ASSERT_NE(tap, nullptr);
@@ -416,6 +424,11 @@ TEST(FleetTap, ShardTapsHoldOnlyTheLastWave) {
       for (const netsim::TapElement::Seen& s : tap->seen()) {
         ASSERT_GE(s.at, last_wave_start[i])
             << "shard " << i << " still holds an earlier wave's datagram";
+      }
+      for (const dpi::ClassificationEvent& ev :
+           envs[i]->dpi->engine().log()) {
+        ASSERT_GE(ev.at, last_wave_start[i])
+            << "shard " << i << " still logs an earlier wave's verdict";
       }
     }
   }
