@@ -157,7 +157,7 @@ Inspection DpiEngine::inspect(const PacketView& pkt, Direction dir,
         !config_.only_ports.contains(key.dst_port)) {
       return finish(nullptr, key, now, Inspection{});
     }
-    return inspect_tcp(pkt, *tcp, c2s, key, now);
+    return inspect_tcp(*tcp, c2s, key, now);
   }
 
   if (pkt.udp) {
@@ -174,8 +174,7 @@ Inspection DpiEngine::inspect(const PacketView& pkt, Direction dir,
   return Inspection{};
 }
 
-Inspection DpiEngine::inspect_tcp(const PacketView& pkt [[maybe_unused]],
-                                  const netsim::TcpView& tcp, bool c2s,
+Inspection DpiEngine::inspect_tcp(const netsim::TcpView& tcp, bool c2s,
                                   const FiveTuple& key, TimePoint now) {
   Inspection out;
   out.processed = true;
@@ -291,7 +290,7 @@ Inspection DpiEngine::inspect_tcp(const PacketView& pkt [[maybe_unused]],
     }
     if (!ds.gave_up) {
       ctx.packet_index = ds.payload_packets;
-      run_match(*fs, ds, content_payload, ctx, key, now, &out);
+      run_match(*fs, content_payload, ctx, key, now, &out);
     }
     return finish(fs, key, now, out);
   }
@@ -389,7 +388,7 @@ Inspection DpiEngine::inspect_tcp(const PacketView& pkt [[maybe_unused]],
     }
 
     if (!ds.gave_up) {
-      run_match(*fs, ds, BytesView(ds.assembled), ctx, key, now, &out);
+      run_match(*fs, BytesView(ds.assembled), ctx, key, now, &out);
     }
 
     if (config_.packet_inspection_limit != 0 &&
@@ -425,16 +424,14 @@ Inspection DpiEngine::inspect_udp(const PacketView& pkt, bool c2s,
     ctx.dst_port = key.dst_port;
     ctx.udp = true;
     ctx.packet_index = ds.payload_packets;
-    run_match(*fs, ds, payload, ctx, key, now, &out);
+    run_match(*fs, payload, ctx, key, now, &out);
   }
   return finish(fs, key, now, out);
 }
 
-void DpiEngine::run_match(FlowState& fs, FlowState::DirState& ds,
-                          BytesView content, const RuleContext& ctx,
-                          const FiveTuple& key, TimePoint now,
-                          Inspection* out) {
-  (void)ds;
+void DpiEngine::run_match(FlowState& fs, BytesView content,
+                          const RuleContext& ctx, const FiveTuple& key,
+                          TimePoint now, Inspection* out) {
   LIBERATE_COST_TICK(kMatchOps, 1);
   // Evaluation normally runs the compiled match program (one shared content
   // scan for all rules); the process-global backend toggle routes it through

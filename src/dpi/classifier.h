@@ -231,14 +231,13 @@ class DpiEngine {
  private:
   FlowState* lookup(const netsim::FiveTuple& key, netsim::TimePoint now,
                     bool create);
-  Inspection inspect_tcp(const netsim::PacketView& pkt,
-                         const netsim::TcpView& tcp, bool client_to_server,
+  Inspection inspect_tcp(const netsim::TcpView& tcp, bool client_to_server,
                          const netsim::FiveTuple& key, netsim::TimePoint now);
   Inspection inspect_udp(const netsim::PacketView& pkt, bool client_to_server,
                          const netsim::FiveTuple& key, netsim::TimePoint now);
-  void run_match(FlowState& fs, FlowState::DirState& ds, BytesView content,
-                 const RuleContext& ctx, const netsim::FiveTuple& key,
-                 netsim::TimePoint now, Inspection* out);
+  void run_match(FlowState& fs, BytesView content, const RuleContext& ctx,
+                 const netsim::FiveTuple& key, netsim::TimePoint now,
+                 Inspection* out);
   Inspection finish(FlowState* fs, const netsim::FiveTuple& key,
                     netsim::TimePoint now, Inspection partial);
 

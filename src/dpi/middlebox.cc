@@ -134,42 +134,16 @@ void DpiMiddlebox::process(Bytes datagram, Direction dir, ElementIo& io) {
   }
 
   if (action != nullptr && action->throttle_bytes_per_sec) {
-    if (throttle_forward(*insp.traffic_class, std::move(datagram), dir, io)) {
-      return;
+    if (!pace_[*insp.traffic_class].forward(
+            std::move(datagram), *action->throttle_bytes_per_sec,
+            action->throttle_queue_bytes, io)) {
+      ++packets_dropped_;  // shaping queue overflow
+      LIBERATE_COUNTER_ADD("dpi.middlebox_packets_dropped", 1);
     }
-    ++packets_dropped_;
-    LIBERATE_COUNTER_ADD("dpi.middlebox_packets_dropped", 1);
     return;
   }
 
   io.forward(std::move(datagram));
-}
-
-bool DpiMiddlebox::throttle_forward(const std::string& klass, Bytes datagram,
-                                    Direction dir, ElementIo& io) {
-  const PolicyAction& action = config_.actions.at(klass);
-  PaceState& st = pace_[klass];
-  const netsim::TimePoint now = io.now();
-  if (st.busy_until < now) {
-    st.busy_until = now;
-    st.queued = 0;
-  }
-  if (st.queued + datagram.size() > action.throttle_queue_bytes) {
-    return false;  // shaping queue overflow
-  }
-  double rate = *action.throttle_bytes_per_sec;
-  netsim::Duration transmit = static_cast<netsim::Duration>(
-      static_cast<double>(datagram.size()) / rate * 1e6);
-  st.queued += datagram.size();
-  st.busy_until += transmit;
-  netsim::Duration wait = st.busy_until - now;
-  std::size_t sz = datagram.size();
-  io.loop().schedule(wait, [this, &st, sz]() {
-    st.queued -= std::min(st.queued, sz);
-  });
-  (void)dir;
-  io.forward_after(wait, std::move(datagram));
-  return true;
 }
 
 bool DpiMiddlebox::treats(const FiveTuple& flow, netsim::TimePoint now) {
@@ -290,9 +264,6 @@ void ConntrackFilter::process(Bytes datagram, Direction dir, ElementIo& io) {
       std::uint32_t end =
           tcp.seq + static_cast<std::uint32_t>(tcp.payload.size());
       if (static_cast<std::int32_t>(end - st.next[d]) > 0) st.next[d] = end;
-    }
-    if (tcp.rst() || tcp.fin()) {
-      // Keep state; closing details don't matter for filtering.
     }
   }
   io.forward(std::move(datagram));

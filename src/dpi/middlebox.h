@@ -109,20 +109,14 @@ class DpiMiddlebox : public netsim::PathElement {
   void inject_rsts(const netsim::PacketView& pkt, netsim::Direction dir,
                    netsim::ElementIo& io, int count, bool packet_forwarded,
                    std::size_t extra_client_bytes);
-  bool throttle_forward(const std::string& klass, Bytes datagram,
-                        netsim::Direction dir, netsim::ElementIo& io);
 
   MiddleboxConfig config_;
   DpiEngine engine_;
   Rng rng_;
 
-  // Per-class pacing state (shared across directions; upstream traffic is
-  // negligible next to the throttled downstream).
-  struct PaceState {
-    netsim::TimePoint busy_until = 0;
-    std::size_t queued = 0;
-  };
-  std::map<std::string, PaceState> pace_;
+  // One shaping queue per throttled class (shared across directions;
+  // upstream traffic is negligible next to the throttled downstream).
+  std::map<std::string, netsim::ShapingQueue> pace_;
 
   std::map<EndpointKey, int> endpoint_hits_;
   std::map<EndpointKey, netsim::TimePoint> endpoint_blocklist_;  // expiry

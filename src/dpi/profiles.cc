@@ -165,11 +165,10 @@ netsim::Duration gfc_eviction_threshold(netsim::TimePoint now) {
   return static_cast<netsim::Duration>(seconds * 1e6);
 }
 
-std::unique_ptr<Environment> make_testbed(std::uint64_t seed) {
-  auto env = std::make_unique<Environment>();
-  env->name = "testbed";
-  env->signal = Environment::Signal::kDirect;
+namespace {
 
+// The testbed's classifier (§6.1).
+ClassifierConfig testbed_config() {
   ClassifierConfig c;
   c.name = "testbed";
   // The testbed device "does not check for a wide range of invalid packet
@@ -191,9 +190,24 @@ std::unique_ptr<Environment> make_testbed(std::uint64_t seed) {
   c.idle_eviction_threshold = [](netsim::TimePoint) {
     return netsim::seconds(120);
   };
+  return c;
+}
+
+// The testbed's topology, rules and actions, shared with the
+// ambiguity-fingerprint profiles so that their digests differ ONLY through
+// the parsing/normalization policies under probe. The fleet soak relies on
+// this — a scripted classifier swap applied to a running testbed world must
+// land exactly on a named profile's fingerprint.
+std::unique_ptr<Environment> make_testbed_like(
+    const std::string& name, ClassifierConfig c,
+    const std::function<void(Environment&)>& pre_dpi_elements,
+    std::uint64_t seed) {
+  auto env = std::make_unique<Environment>();
+  env->name = name;
+  env->signal = Environment::Signal::kDirect;
 
   MiddleboxConfig mc;
-  mc.classifier = c;
+  mc.classifier = std::move(c);
   mc.rules = testbed_rules();
   PolicyAction shape;
   shape.throttle_bytes_per_sec = 1.5e6 / 8;
@@ -204,17 +218,24 @@ std::unique_ptr<Environment> make_testbed(std::uint64_t seed) {
 
   env->net.emplace<RouterHop>(ip_addr("10.1.0.1"));
   env->pre_middlebox_tap = &env->net.emplace<netsim::TapElement>("pre-dpi");
+  if (pre_dpi_elements) pre_dpi_elements(*env);
   env->dpi = &env->net.emplace<DpiMiddlebox>(mc);
-  auto& r2 = env->net.emplace<RouterHop>(ip_addr("10.1.0.2"));
+  auto& exit = env->net.emplace<RouterHop>(ip_addr("10.1.0.2"));
   ValidationPolicy exit_filter;
   exit_filter.checked =
       set_of({Anomaly::kBadIpVersion, Anomaly::kBadIpHeaderLength,
               Anomaly::kIpTotalLengthLong, Anomaly::kIpTotalLengthShort,
               Anomaly::kBadIpChecksum, Anomaly::kTcpDataNoAck});
-  r2.filter(exit_filter);
+  exit.filter(exit_filter);
   env->hops_before_middlebox = 1;
   env->total_router_hops = 2;
   return env;
+}
+
+}  // namespace
+
+std::unique_ptr<Environment> make_testbed(std::uint64_t seed) {
+  return make_testbed_like("testbed", testbed_config(), nullptr, seed);
 }
 
 std::unique_ptr<Environment> make_tmus(std::uint64_t seed) {
@@ -397,45 +418,6 @@ std::unique_ptr<Environment> make_iran(std::uint64_t seed) {
 }
 
 namespace {
-
-// Shared skeleton for the ambiguity-fingerprint profiles: topology, rules,
-// and actions identical to the testbed so that their digests differ ONLY
-// through the parsing/normalization policies under probe. The fleet soak
-// relies on this — a scripted classifier swap applied to a running testbed
-// world must land exactly on a named profile's fingerprint.
-std::unique_ptr<Environment> make_testbed_like(
-    const std::string& name, ClassifierConfig c,
-    const std::function<void(Environment&)>& pre_dpi_elements,
-    std::uint64_t seed) {
-  auto env = std::make_unique<Environment>();
-  env->name = name;
-  env->signal = Environment::Signal::kDirect;
-
-  MiddleboxConfig mc;
-  mc.classifier = std::move(c);
-  mc.rules = testbed_rules();
-  PolicyAction shape;
-  shape.throttle_bytes_per_sec = 1.5e6 / 8;
-  mc.actions["video"] = shape;
-  mc.actions["music"] = shape;
-  mc.actions["voip"] = shape;
-  mc.seed = seed;
-
-  env->net.emplace<RouterHop>(ip_addr("10.1.0.1"));
-  env->pre_middlebox_tap = &env->net.emplace<netsim::TapElement>("pre-dpi");
-  if (pre_dpi_elements) pre_dpi_elements(*env);
-  env->dpi = &env->net.emplace<DpiMiddlebox>(mc);
-  auto& exit = env->net.emplace<RouterHop>(ip_addr("10.1.0.2"));
-  ValidationPolicy exit_filter;
-  exit_filter.checked =
-      set_of({Anomaly::kBadIpVersion, Anomaly::kBadIpHeaderLength,
-              Anomaly::kIpTotalLengthLong, Anomaly::kIpTotalLengthShort,
-              Anomaly::kBadIpChecksum, Anomaly::kTcpDataNoAck});
-  exit.filter(exit_filter);
-  env->hops_before_middlebox = 1;
-  env->total_router_hops = 2;
-  return env;
-}
 
 // Suricata-style target-based engine: validating, seq-checking stream
 // reassembly with "overlap: last" segment semantics and BSD-left fragment

@@ -180,29 +180,31 @@ std::size_t TapElement::count(Direction dir) const {
   return n;
 }
 
-void BandwidthElement::process(Bytes datagram, Direction dir, ElementIo& io) {
-  const int d = dir == Direction::kClientToServer ? 0 : 1;
+bool ShapingQueue::forward(Bytes datagram, double bytes_per_second,
+                           std::size_t limit, ElementIo& io) {
   const TimePoint now = io.now();
-  if (busy_until_[d] < now) {
-    busy_until_[d] = now;
-    queued_bytes_[d] = 0;
+  if (busy_until < now) {
+    busy_until = now;
+    queued = 0;
   }
-  if (queued_bytes_[d] + datagram.size() > queue_limit_) {
+  const std::size_t sz = datagram.size();
+  if (queued + sz > limit) return false;
+  queued += sz;
+  busy_until += static_cast<Duration>(static_cast<double>(sz) /
+                                      bytes_per_second * 1e6);
+  const Duration wait = busy_until - now;
+  // Decrement the occupancy when this datagram leaves the queue.
+  io.loop().schedule(wait, [this, sz]() { queued -= std::min(queued, sz); });
+  io.forward_after(wait, std::move(datagram));
+  return true;
+}
+
+void BandwidthElement::process(Bytes datagram, Direction dir, ElementIo& io) {
+  ShapingQueue& q = queues_[dir == Direction::kClientToServer ? 0 : 1];
+  if (!q.forward(std::move(datagram), rate_, queue_limit_, io)) {
     ++dropped_;
     LIBERATE_COUNTER_ADD("netsim.bandwidth_drops", 1);
-    return;
   }
-  const Duration transmit =
-      static_cast<Duration>(static_cast<double>(datagram.size()) / rate_ * 1e6);
-  queued_bytes_[d] += datagram.size();
-  busy_until_[d] += transmit;
-  const Duration wait = busy_until_[d] - now;
-  const std::size_t sz = datagram.size();
-  // Decrement the queue occupancy when this datagram leaves the queue.
-  io.loop().schedule(wait, [this, d, sz]() {
-    queued_bytes_[d] -= std::min(queued_bytes_[d], sz);
-  });
-  io.forward_after(wait, std::move(datagram));
 }
 
 }  // namespace liberate::netsim

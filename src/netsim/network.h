@@ -126,7 +126,21 @@ class TapElement : public PathElement {
   Arena arena_;
 };
 
-/// Token-bucket rate limiter with a finite queue (models both access-link
+/// A finite FIFO drained at a fixed rate in virtual time: the shaper under
+/// BandwidthElement and under the DPI middlebox's class throttle. An idle
+/// queue starts over empty. A datagram that would take the queue past
+/// `limit` bytes is refused: forward() returns false and the caller counts
+/// the drop. Otherwise the datagram leaves once every byte queued before it
+/// and its own bytes have been sent at `bytes_per_second`.
+struct ShapingQueue {
+  TimePoint busy_until = 0;  // when the last queued byte has left
+  std::size_t queued = 0;    // bytes waiting
+
+  bool forward(Bytes datagram, double bytes_per_second, std::size_t limit,
+               ElementIo& io);
+};
+
+/// Rate limiter with a finite queue per direction (models both access-link
 /// capacity and shaping policies). Queue overflow drops.
 class BandwidthElement : public PathElement {
  public:
@@ -145,10 +159,7 @@ class BandwidthElement : public PathElement {
  private:
   double rate_;
   std::size_t queue_limit_;
-  // Virtual-time transmit scheduler: next time the "wire" is free, per
-  // direction.
-  TimePoint busy_until_[2] = {0, 0};
-  std::size_t queued_bytes_[2] = {0, 0};
+  ShapingQueue queues_[2];  // by direction, client->server first
   std::uint64_t dropped_ = 0;
 };
 

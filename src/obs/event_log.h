@@ -2,13 +2,13 @@
 //
 // An Event is {sim-clock timestamp, layer, kind, key/value fields}; the
 // per-kind totals are exact (maintained incrementally, never dropped) while
-// the ring keeps only the most recent events for inspection — under a
-// million-round workload the totals stay meaningful and memory stays flat.
+// the ring keeps only the newest EventLog::kCapacity events for inspection —
+// under a million-round workload the totals stay meaningful and memory stays
+// flat.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <initializer_list>
 #include <map>
 #include <mutex>
@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/ring.h"
 #include "util/thread_pool.h"
 
 namespace liberate::obs {
@@ -67,6 +68,8 @@ struct EventLogSnapshot {
 
 class EventLog {
  public:
+  static constexpr std::size_t kCapacity = 4096;
+
   static EventLog& instance() {
     static EventLog log;
     return log;
@@ -83,46 +86,30 @@ class EventLog {
     e.fields.assign(fields.begin(), fields.end());
     std::lock_guard<std::mutex> lock(mutex_);
     totals_[e.layer + "." + e.kind] += 1;
-    if (capacity_ == 0) return;
-    if (ring_.size() >= capacity_) {
-      ring_.pop_front();
-      dropped_ += 1;
-    }
-    ring_.push_back(std::move(e));
+    ring_.push(std::move(e));
   }
 
   EventLogSnapshot snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
     EventLogSnapshot snap;
-    snap.recent.assign(ring_.begin(), ring_.end());
+    snap.recent = ring_.to_vector();
     snap.totals = totals_;
-    snap.dropped = dropped_;
+    snap.dropped = ring_.dropped();
     return snap;
   }
 
-  void set_capacity(std::size_t capacity) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = capacity;
-    while (ring_.size() > capacity_) {
-      ring_.pop_front();
-      dropped_ += 1;
-    }
-  }
   void reset() {
     std::lock_guard<std::mutex> lock(mutex_);
     ring_.clear();
     totals_.clear();
-    dropped_ = 0;
   }
 
  private:
   EventLog() = default;
 
   mutable std::mutex mutex_;
-  std::deque<Event> ring_;
-  std::size_t capacity_ = 4096;
+  Ring<Event> ring_{kCapacity};
   std::map<std::string, std::uint64_t> totals_;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace liberate::obs

@@ -12,16 +12,16 @@
 //   * edges   — child id -> parent hops ({parent, ts, kind, actor, detail});
 //               deduplicated, capped per child. "pkt 7 <- split of pkt 3".
 //   * ledgers — per (scope, canonical flow) rings of decision records
-//               (rules tried, match offsets, verdicts), bounded like
-//               EventLog's ring with exact drop counters.
+//               (rules tried, match offsets, verdicts), each an obs::Ring
+//               with exact drop counters.
 //
 // Every worker records every sampled datagram it builds or inspects, so the
 // stores are striped by key, each stripe behind its own mutex: nodes and
 // the edges into them by packet id, ledgers by canonical flow key (all
 // scopes of a flow share a stripe). Eviction order is still one
 // process-wide FIFO per table, kept in a ring of insertion order, so the
-// caps (65 536 nodes, 1 024 flows, 512 records per ledger) evict what a
-// single FIFO would.
+// caps (kNodeCapacity nodes, kMaxFlows flows, kLedgerCapacity records per
+// ledger) evict what a single FIFO would.
 //
 // The *scope* disambiguates parallel replay: every isolated round replays
 // the same 10.0.0.1 flow tuple, so a thread-local scope id — set by the
@@ -46,7 +46,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <initializer_list>
 #include <map>
 #include <mutex>
@@ -59,6 +58,7 @@
 #include <vector>
 
 #include "obs/event_log.h"
+#include "obs/ring.h"
 #include "util/digest.h"
 #include "util/rng.h"
 
@@ -221,6 +221,10 @@ struct ProvSnapshot {
 
 class ProvenanceRecorder {
  public:
+  static constexpr std::size_t kNodeCapacity = 65536;  // packet nodes
+  static constexpr std::size_t kMaxFlows = 1024;       // (scope, flow) ledgers
+  static constexpr std::size_t kLedgerCapacity = 512;  // records per ledger
+
   static ProvenanceRecorder& instance() {
     static ProvenanceRecorder rec;
     return rec;
@@ -290,18 +294,11 @@ class ProvenanceRecorder {
     std::optional<LedgerKey> victim;
     {
       std::lock_guard<std::mutex> lock(s.mu);
-      if (max_flows_ == 0) return;
-      auto [it, inserted] = s.ledgers.try_emplace(key);
+      auto [it, inserted] = s.ledgers.try_emplace(key, kLedgerCapacity);
       if (inserted) victim = claim_ledger_slot(s, key);
-      Ledger& led = it->second;
-      r.seq = led.next_seq++;
-      if (ledger_capacity_ != 0) {
-        if (led.ring.size() >= ledger_capacity_) {
-          led.ring.pop_front();
-          led.dropped += 1;
-        }
-        led.ring.push_back(std::move(r));
-      }
+      Ring<ProvRecord>& ledger = it->second;
+      r.seq = ledger.total();
+      ledger.push(std::move(r));
     }
     if (victim) evict_ledger(*victim);
   }
@@ -341,9 +338,9 @@ class ProvenanceRecorder {
     const LedgerStripe& s = stripe_of(ledger_stripes_, flow_hash(flow));
     std::lock_guard<std::mutex> lock(s.mu);
     std::vector<LedgerSnapshot> out;
-    for (const auto& [key, led] : s.ledgers) {
+    for (const auto& [key, ledger] : s.ledgers) {
       if (!(key.second == flow)) continue;
-      out.push_back(snapshot_ledger(key, led));
+      out.push_back(snapshot_ledger(key, ledger));
     }
     return out;  // std::map iteration is already (scope, flow)-ordered
   }
@@ -363,9 +360,9 @@ class ProvenanceRecorder {
     {
       auto locks = lock_all(ledger_stripes_);
       for (const LedgerStripe& s : ledger_stripes_) {
-        for (const auto& [key, led] : s.ledgers) {
-          snap.ledgers.push_back(snapshot_ledger(key, led));
-          snap.total_records += led.next_seq;
+        for (const auto& [key, ledger] : s.ledgers) {
+          snap.ledgers.push_back(snapshot_ledger(key, ledger));
+          snap.total_records += ledger.total();
         }
         snap.ledgers_evicted += s.evicted;
       }
@@ -378,63 +375,6 @@ class ProvenanceRecorder {
                 return std::tie(a.scope, a.flow) < std::tie(b.scope, b.flow);
               });
     return snap;
-  }
-
-  void set_node_capacity(std::size_t cap) {
-    auto locks = lock_all(node_stripes_);
-    std::vector<std::uint64_t> fifo;  // live ids, oldest first
-    const std::uint64_t next = node_next_.load(std::memory_order_relaxed);
-    for (std::uint64_t n = next - std::min<std::uint64_t>(next, node_capacity_);
-         n < next; ++n) {
-      std::uint64_t id = node_ring_[n % node_capacity_].load(
-          std::memory_order_relaxed);
-      if (id != 0) fifo.push_back(id);
-    }
-    const std::size_t excess = fifo.size() > cap ? fifo.size() - cap : 0;
-    for (std::size_t i = 0; i < excess; ++i) {
-      erase_node_locked(stripe_of(node_stripes_, fifo[i]), fifo[i]);
-    }
-    node_capacity_ = cap;
-    node_ring_ = std::vector<std::atomic<std::uint64_t>>(cap);
-    for (std::size_t i = excess; i < fifo.size(); ++i) {
-      node_ring_[i - excess].store(fifo[i], std::memory_order_relaxed);
-    }
-    node_next_.store(fifo.size() - excess, std::memory_order_relaxed);
-  }
-  void set_ledger_capacity(std::size_t cap) {
-    auto locks = lock_all(ledger_stripes_);
-    ledger_capacity_ = cap;
-    for (LedgerStripe& s : ledger_stripes_) {
-      for (auto& [key, led] : s.ledgers) {
-        while (led.ring.size() > ledger_capacity_) {
-          led.ring.pop_front();
-          led.dropped += 1;
-        }
-      }
-    }
-  }
-  void set_max_flows(std::size_t cap) {
-    auto locks = lock_all(ledger_stripes_);
-    std::vector<LedgerKey> fifo;  // live ledgers, oldest first
-    const std::uint64_t next = ledger_next_.load(std::memory_order_relaxed);
-    for (std::uint64_t n = next - std::min<std::uint64_t>(next, max_flows_);
-         n < next; ++n) {
-      LedgerSlot& slot = ledger_ring_[n % max_flows_];
-      std::lock_guard<std::mutex> lock(slot.mu);
-      if (slot.key) fifo.push_back(*slot.key);
-    }
-    const std::size_t excess = fifo.size() > cap ? fifo.size() - cap : 0;
-    for (std::size_t i = 0; i < excess; ++i) {
-      const LedgerKey& key = fifo[i];
-      erase_ledger_locked(stripe_of(ledger_stripes_, flow_hash(key.second)),
-                          key);
-    }
-    max_flows_ = cap;
-    ledger_ring_ = std::vector<LedgerSlot>(cap);
-    for (std::size_t i = excess; i < fifo.size(); ++i) {
-      ledger_ring_[i - excess].key = fifo[i];
-    }
-    ledger_next_.store(fifo.size() - excess, std::memory_order_relaxed);
   }
 
   void reset() {
@@ -453,26 +393,19 @@ class ProvenanceRecorder {
       s.ledgers.clear();
       s.evicted = 0;
     }
-    ledger_ring_ = std::vector<LedgerSlot>(max_flows_);
+    ledger_ring_ = std::vector<LedgerSlot>(kMaxFlows);
     ledger_next_.store(0, std::memory_order_relaxed);
   }
 
  private:
   using LedgerKey = std::pair<std::uint64_t, FlowKey>;
 
-  struct Ledger {
-    std::deque<ProvRecord> ring;
-    std::uint64_t dropped = 0;
-    std::uint64_t next_seq = 0;
-  };
-
   // Storage is striped by key so that recording threads rarely share a
   // lock: a packet node and the edges into it live in the stripe of the
   // packet id, and every scope's ledger of one flow in the stripe of the
   // canonical flow key. Each stripe's mutex guards its maps and its
-  // eviction count; the capacities and rings below change only with every
-  // stripe of their table locked (lock_all, in index order), so reading
-  // them under any one stripe lock is safe.
+  // eviction count; the eviction rings below are replaced only by reset(),
+  // with every stripe of their table locked (lock_all, in index order).
   struct alignas(64) NodeStripe {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, NodeInfo> nodes;
@@ -481,7 +414,7 @@ class ProvenanceRecorder {
   };
   struct alignas(64) LedgerStripe {
     mutable std::mutex mu;
-    std::map<LedgerKey, Ledger> ledgers;
+    std::map<LedgerKey, Ring<ProvRecord>> ledgers;
     std::uint64_t evicted = 0;
   };
   struct LedgerSlot {
@@ -558,12 +491,9 @@ class ProvenanceRecorder {
     it->second.id = id;
     it->second.size = size;
     it->second.kind = kind;
-    std::uint64_t victim = id;  // at capacity 0 a node evicts itself
-    if (node_capacity_ != 0) {
-      std::uint64_t n = node_next_.fetch_add(1, std::memory_order_relaxed);
-      victim = node_ring_[n % node_capacity_].exchange(
-          id, std::memory_order_relaxed);
-    }
+    const std::uint64_t n = node_next_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t victim =
+        node_ring_[n % kNodeCapacity].exchange(id, std::memory_order_relaxed);
     if (victim != 0 && &stripe_of(node_stripes_, victim) == &s) {
       erase_node_locked(s, victim);
       return 0;
@@ -586,11 +516,11 @@ class ProvenanceRecorder {
 
   // Ledger-ring counterpart of the node claim in register_node_locked. The
   // keys do not fit one atomic word, so each slot has its own mutex; two
-  // claims meet on a slot only max_flows_ ledger creations apart.
+  // claims meet on a slot only kMaxFlows ledger creations apart.
   std::optional<LedgerKey> claim_ledger_slot(LedgerStripe& s,
                                              const LedgerKey& key) {
     std::uint64_t n = ledger_next_.fetch_add(1, std::memory_order_relaxed);
-    LedgerSlot& slot = ledger_ring_[n % max_flows_];
+    LedgerSlot& slot = ledger_ring_[n % kMaxFlows];
     std::optional<LedgerKey> victim;
     {
       std::lock_guard<std::mutex> lock(slot.mu);
@@ -615,21 +545,18 @@ class ProvenanceRecorder {
   }
 
   static LedgerSnapshot snapshot_ledger(const LedgerKey& key,
-                                        const Ledger& led) {
+                                        const Ring<ProvRecord>& ledger) {
     LedgerSnapshot ls;
     ls.scope = key.first;
     ls.flow = key.second;
-    ls.records.assign(led.ring.begin(), led.ring.end());
-    ls.dropped = led.dropped;
-    ls.total = led.next_seq;
+    ls.records = ledger.to_vector();
+    ls.dropped = ledger.dropped();
+    ls.total = ledger.total();
     return ls;
   }
 
   std::array<NodeStripe, std::size_t{1} << kStripeBits> node_stripes_;
   std::array<LedgerStripe, std::size_t{1} << kStripeBits> ledger_stripes_;
-  std::size_t node_capacity_ = 65536;
-  std::size_t ledger_capacity_ = 512;
-  std::size_t max_flows_ = 1024;
 
   // One FIFO ring of insertion order per table. Inserting a key claims the
   // next slot with a relaxed fetch_add; the key that slot held, inserted
@@ -638,9 +565,9 @@ class ProvenanceRecorder {
   // and a serial run evicts exactly the oldest key, as one global FIFO
   // would. Node slots are bare ids (0 = empty) to keep the ring compact.
   std::vector<std::atomic<std::uint64_t>> node_ring_ =
-      std::vector<std::atomic<std::uint64_t>>(65536);
+      std::vector<std::atomic<std::uint64_t>>(kNodeCapacity);
   alignas(64) std::atomic<std::uint64_t> node_next_{0};
-  std::vector<LedgerSlot> ledger_ring_ = std::vector<LedgerSlot>(1024);
+  std::vector<LedgerSlot> ledger_ring_ = std::vector<LedgerSlot>(kMaxFlows);
   alignas(64) std::atomic<std::uint64_t> ledger_next_{0};
 };
 

@@ -97,12 +97,14 @@ inline std::string to_prometheus_text(const MetricsSnapshot& m) {
   return out;
 }
 
+/// The newest spans and events a JSON telemetry block dumps, so report
+/// files stay small; totals are never capped.
+inline constexpr std::size_t kJsonSpans = 256;
+inline constexpr std::size_t kJsonEvents = 256;
+
 /// Writes the snapshot as one JSON object (caller brackets it with key()
-/// or uses to_json() for a standalone document). `max_spans`/`max_events`
-/// cap the ring dumps so report files stay small; totals are never capped.
-inline void write_json(JsonWriter& w, const Snapshot& snap,
-                       std::size_t max_spans = 256,
-                       std::size_t max_events = 256) {
+/// or uses to_json() for a standalone document).
+inline void write_json(JsonWriter& w, const Snapshot& snap) {
   w.begin_object();
 
   w.key("counters").begin_object();
@@ -149,7 +151,7 @@ inline void write_json(JsonWriter& w, const Snapshot& snap,
   w.key("spans").begin_array();
   {
     std::size_t start =
-        snap.spans.size() > max_spans ? snap.spans.size() - max_spans : 0;
+        snap.spans.size() > kJsonSpans ? snap.spans.size() - kJsonSpans : 0;
     for (std::size_t i = start; i < snap.spans.size(); ++i) {
       const SpanRecord& s = snap.spans[i];
       w.begin_object();
@@ -171,8 +173,8 @@ inline void write_json(JsonWriter& w, const Snapshot& snap,
   w.end_object();
   w.key("recent").begin_array();
   {
-    std::size_t start = snap.events.recent.size() > max_events
-                            ? snap.events.recent.size() - max_events
+    std::size_t start = snap.events.recent.size() > kJsonEvents
+                            ? snap.events.recent.size() - kJsonEvents
                             : 0;
     for (std::size_t i = start; i < snap.events.recent.size(); ++i) {
       const Event& e = snap.events.recent[i];
@@ -213,10 +215,9 @@ inline void write_json(JsonWriter& w, const Snapshot& snap,
   w.end_object();
 }
 
-inline std::string to_json(const Snapshot& snap, std::size_t max_spans = 256,
-                           std::size_t max_events = 256) {
+inline std::string to_json(const Snapshot& snap) {
   JsonWriter w;
-  write_json(w, snap, max_spans, max_events);
+  write_json(w, snap);
   return w.take();
 }
 

@@ -10,15 +10,15 @@
 // submitting thread's ambient span across to the worker — so a wave chunk
 // executed by a stealing worker nests under the phase that submitted it,
 // never under an unrelated span that happens to be open on that worker.
-// Completed spans land in a bounded global ring (oldest dropped), and every
-// enter/exit additionally feeds the hierarchical profiler
-// (obs/prof/profiler.h) with the span's sim-clock and wall-clock deltas.
+// Completed spans land in a global ring of SpanLog::kCapacity (oldest
+// dropped), and every enter/exit additionally feeds the hierarchical
+// profiler (obs/prof/profiler.h) with the span's sim-clock and wall-clock
+// deltas.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -26,6 +26,7 @@
 
 #include "obs/prof/context.h"
 #include "obs/prof/profiler.h"
+#include "obs/ring.h"
 #include "util/thread_pool.h"
 
 namespace liberate::obs {
@@ -41,6 +42,8 @@ struct SpanRecord {
 
 class SpanLog {
  public:
+  static constexpr std::size_t kCapacity = 4096;
+
   static SpanLog& instance() {
     static SpanLog log;
     return log;
@@ -52,43 +55,27 @@ class SpanLog {
 
   void record(SpanRecord span) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (capacity_ == 0) return;
-    if (ring_.size() >= capacity_) {
-      ring_.pop_front();
-      dropped_ += 1;
-    }
-    ring_.push_back(std::move(span));
+    ring_.push(std::move(span));
   }
 
   std::vector<SpanRecord> snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return std::vector<SpanRecord>(ring_.begin(), ring_.end());
+    return ring_.to_vector();
   }
   std::uint64_t dropped() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return dropped_;
-  }
-  void set_capacity(std::size_t capacity) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = capacity;
-    while (ring_.size() > capacity_) {
-      ring_.pop_front();
-      dropped_ += 1;
-    }
+    return ring_.dropped();
   }
   void reset() {
     std::lock_guard<std::mutex> lock(mutex_);
     ring_.clear();
-    dropped_ = 0;
   }
 
  private:
   SpanLog() = default;
 
   mutable std::mutex mutex_;
-  std::deque<SpanRecord> ring_;
-  std::size_t capacity_ = 4096;
-  std::uint64_t dropped_ = 0;
+  Ring<SpanRecord> ring_{kCapacity};
   std::atomic<std::uint64_t> id_counter_{0};
 };
 

@@ -38,21 +38,7 @@ TimeSeriesStore& TimeSeriesStore::instance() {
 
 void TimeSeriesStore::push_locked(const SeriesKey& key, std::uint64_t t_us,
                                   double value) {
-  Series& s = series_[key];
-  s.total += 1;
-  if (s.ring.size() < capacity_) {
-    s.ring.push_back({t_us, value});
-    return;
-  }
-  if (capacity_ == 0) {
-    s.dropped += 1;
-    return;
-  }
-  // Ring is full: overwrite the oldest slot.
-  s.ring[s.head] = {t_us, value};
-  s.head = (s.head + 1) % s.ring.size();
-  s.wrapped = true;
-  s.dropped += 1;
+  series_.try_emplace(key, kCapacity).first->second.push({t_us, value});
 }
 
 void TimeSeriesStore::sample(std::string_view name, int shard,
@@ -95,54 +81,19 @@ void TimeSeriesStore::tick(std::uint64_t t_us,
 TimeSeriesSnapshot TimeSeriesStore::snapshot(std::string_view prefix) const {
   TimeSeriesSnapshot snap;
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, s] : series_) {
+  for (const auto& [key, ring] : series_) {
     if (!prefix.empty() &&
         key.name.compare(0, prefix.size(), prefix) != 0) {
       continue;
     }
     SeriesSnapshot out;
     out.key = key;
-    out.dropped = s.dropped;
-    out.total = s.total;
-    out.points.reserve(s.ring.size());
-    if (s.wrapped) {
-      // head is the oldest live point once the ring has wrapped.
-      for (std::size_t i = 0; i < s.ring.size(); ++i) {
-        out.points.push_back(s.ring[(s.head + i) % s.ring.size()]);
-      }
-    } else {
-      out.points = s.ring;
-    }
+    out.points = ring.to_vector();
+    out.dropped = ring.dropped();
+    out.total = ring.total();
     snap.series.push_back(std::move(out));
   }
   return snap;
-}
-
-void TimeSeriesStore::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity;
-  for (auto& [key, s] : series_) {
-    // Linearize to chronological order (push_locked relies on un-wrapped
-    // rings being appendable), then drop the oldest overflow if shrinking.
-    std::vector<SeriesPoint> ordered;
-    ordered.reserve(s.ring.size());
-    if (s.wrapped) {
-      for (std::size_t i = 0; i < s.ring.size(); ++i) {
-        ordered.push_back(s.ring[(s.head + i) % s.ring.size()]);
-      }
-    } else {
-      ordered = std::move(s.ring);
-    }
-    if (ordered.size() > capacity) {
-      const std::size_t drop = ordered.size() - capacity;
-      s.dropped += drop;
-      ordered.erase(ordered.begin(),
-                    ordered.begin() + static_cast<std::ptrdiff_t>(drop));
-    }
-    s.ring = std::move(ordered);
-    s.head = 0;
-    s.wrapped = false;
-  }
 }
 
 void TimeSeriesStore::reset() {

@@ -13,10 +13,11 @@
 //    per-tick *delta* series ("<counter>.delta") and gauges into value
 //    series, for every metric matching one of the name prefixes.
 //
-// Rings are fixed-capacity per series (oldest point dropped, drops counted
-// exactly), so a million-wave soak holds memory flat. All timestamps are
-// sim-clock microseconds — never the wall clock — so the stored series of
-// a deterministic run is itself deterministic: snapshots iterate a sorted
+// Each series keeps the newest TimeSeriesStore::kCapacity points in an
+// obs::Ring (oldest point dropped, drops counted exactly), so a
+// million-wave soak holds memory flat. All timestamps are sim-clock
+// microseconds — never the wall clock — so the stored series of a
+// deterministic run is itself deterministic: snapshots iterate a sorted
 // map and reproduce byte-identically across worker counts and match
 // backends. Level gating lives in the obs.h macros (LIBERATE_TS_*); the
 // classes here are level-independent, like MetricsRegistry.
@@ -28,6 +29,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace liberate::obs {
 
@@ -70,12 +73,11 @@ struct TimeSeriesSnapshot {
 
 class TimeSeriesStore {
  public:
-  static constexpr std::size_t kDefaultCapacity = 512;
+  static constexpr std::size_t kCapacity = 512;  // points per series
 
   static TimeSeriesStore& instance();
 
-  /// Append one point to (name, shard). Creates the series on first use;
-  /// rings hold the store's current per-series capacity.
+  /// Append one point to (name, shard). Creates the series on first use.
   void sample(std::string_view name, int shard, std::uint64_t t_us,
               double value);
 
@@ -90,28 +92,15 @@ class TimeSeriesStore {
   /// everything).
   TimeSeriesSnapshot snapshot(std::string_view prefix = {}) const;
 
-  /// Per-series ring capacity for series created after the call; existing
-  /// rings are trimmed (oldest dropped) if now over.
-  void set_capacity(std::size_t capacity);
-
   void reset();
 
  private:
   TimeSeriesStore() = default;
 
-  struct Series {
-    std::vector<SeriesPoint> ring;  // circular once full
-    std::size_t head = 0;           // next write slot once wrapped
-    bool wrapped = false;
-    std::uint64_t dropped = 0;
-    std::uint64_t total = 0;
-  };
-
   void push_locked(const SeriesKey& key, std::uint64_t t_us, double value);
 
   mutable std::mutex mutex_;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::map<SeriesKey, Series> series_;
+  std::map<SeriesKey, Ring<SeriesPoint>> series_;
   std::map<std::string, std::uint64_t> tick_base_;  // counter totals at last tick
   bool ticked_ = false;
 };

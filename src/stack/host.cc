@@ -63,15 +63,14 @@ void Host::receive(Bytes datagram) {
       ++dropped_by_os_;
       return;
     }
-    handle_validated(reparsed.value(), *whole);
+    handle_validated(reparsed.value());
     return;
   }
 
-  handle_validated(parsed.value(), datagram);
+  handle_validated(parsed.value());
 }
 
-void Host::handle_validated(const PacketView& pkt, BytesView datagram) {
-  (void)datagram;
+void Host::handle_validated(const PacketView& pkt) {
   AnomalySet anomalies = netsim::anomalies_of(pkt);
   OsAction action = os_.decide(anomalies);
   switch (action) {

@@ -67,7 +67,7 @@ class Host : public netsim::HostIface {
   void transmit(Bytes datagram) { port_.send(std::move(datagram)); }
 
  private:
-  void handle_validated(const netsim::PacketView& pkt, BytesView datagram);
+  void handle_validated(const netsim::PacketView& pkt);
   void handle_tcp(const netsim::PacketView& pkt);
   void handle_udp(const netsim::PacketView& pkt, bool truncated);
   void respond_rst(const netsim::PacketView& pkt);

@@ -333,7 +333,6 @@ class FlowTable {
   void rehash_to(std::size_t new_cap) {
     Slots fresh(new_cap);
     const std::size_t old_cap = slots_.size();
-    const std::size_t old_mask = mask_;
     Slots old;
     old.swap(slots_);
     slots_.swap(fresh);
@@ -359,7 +358,6 @@ class FlowTable {
          s = old.template col<4>()[s]) {
       order.push_back(s);
     }
-    (void)old_mask;
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const Key& k = old.template col<0>()[*it];
       std::size_t slot = probe(k);

@@ -6,7 +6,7 @@
 
 #include "dpi/http_parser.h"
 #include "dpi/stun_parser.h"
-#include "dpi/tls_parser.h"
+#include "fuzz/tls_parser.h"
 #include "netsim/packet.h"
 #include "netsim/validation.h"
 #include "util/rng.h"

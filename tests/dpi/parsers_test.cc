@@ -2,7 +2,7 @@
 
 #include "dpi/http_parser.h"
 #include "dpi/stun_parser.h"
-#include "dpi/tls_parser.h"
+#include "fuzz/tls_parser.h"
 #include "util/rng.h"
 
 namespace liberate::dpi {

@@ -5,8 +5,8 @@
 
 #include "dpi/http_parser.h"
 #include "dpi/stun_parser.h"
-#include "dpi/tls_parser.h"
 #include "fuzz/fuzz.h"
+#include "fuzz/tls_parser.h"
 #include "netsim/packet.h"
 #include "netsim/validation.h"
 #include "stack/ip_reassembly.h"

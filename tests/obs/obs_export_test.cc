@@ -66,15 +66,21 @@ TEST(ObsExport, JsonSnapshotDocument) {
 
 TEST(ObsExport, JsonSnapshotCapsRingDumpsNotTotals) {
   reset_all();
-  for (int i = 0; i < 50; ++i) {
-    LIBERATE_OBS_EVENT(static_cast<std::uint64_t>(i), "test", "burst");
+  constexpr std::uint64_t kPushed = kJsonEvents + 50;
+  for (std::uint64_t i = 0; i < kPushed; ++i) {
+    LIBERATE_OBS_EVENT(i, "test", "burst");
   }
   Snapshot snap = capture();
-  std::string doc = to_json(snap, /*max_spans=*/256, /*max_events=*/5);
-  // Totals stay exact while the dump keeps only the newest 5.
-  EXPECT_NE(doc.find("\"test.burst\":50"), std::string::npos);
-  EXPECT_EQ(doc.find("\"ts_us\":44"), std::string::npos);
-  EXPECT_NE(doc.find("\"ts_us\":49"), std::string::npos);
+  ASSERT_EQ(snap.events.recent.size(), kPushed);  // the ring kept them all
+  std::string doc = to_json(snap);
+  // Totals stay exact while the dump keeps only the newest kJsonEvents.
+  auto has = [&doc](const std::string& s) {
+    return doc.find(s) != std::string::npos;
+  };
+  EXPECT_TRUE(has("\"test.burst\":" + std::to_string(kPushed)));
+  EXPECT_FALSE(has("\"ts_us\":49,"));
+  EXPECT_TRUE(has("\"ts_us\":50,"));
+  EXPECT_TRUE(has("\"ts_us\":" + std::to_string(kPushed - 1) + ","));
   reset_all();
 }
 

@@ -101,50 +101,47 @@ TEST(ObsSpan, NestingTracksParentAndSimClock) {
   EXPECT_EQ(spans[1].worker, -1);  // not on a pool thread
 }
 
+// The ring is SpanLog::kCapacity long; six spans past it drop the six
+// oldest. Spans are recorded directly, as ScopedSpan's destructor does, so
+// the profiler (a separate bounded store) sees none of them.
 TEST(ObsSpan, RingDropsOldestBeyondCapacity) {
-  SpanLog::instance().reset();
-  SpanLog::instance().set_capacity(4);
-  auto clock = []() { return std::uint64_t{1}; };
-  for (int i = 0; i < 10; ++i) {
-    ScopedSpan s("test.ring." + std::to_string(i), clock);
+  SpanLog& log = SpanLog::instance();
+  log.reset();
+  constexpr std::uint64_t kPushed = SpanLog::kCapacity + 6;
+  for (std::uint64_t i = 0; i < kPushed; ++i) {
+    SpanRecord span;
+    span.id = log.next_id();
+    span.name = "test.ring";
+    span.start_us = i;
+    span.end_us = i;
+    log.record(std::move(span));
   }
-  auto spans = SpanLog::instance().snapshot();
-  EXPECT_EQ(spans.size(), 4u);
-  EXPECT_EQ(SpanLog::instance().dropped(), 6u);
-  EXPECT_EQ(spans.back().name, "test.ring.9");
-  // Shrinking the ring trims the oldest records, and counts them dropped.
-  SpanLog::instance().set_capacity(1);
-  spans = SpanLog::instance().snapshot();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(SpanLog::instance().dropped(), 9u);
-  EXPECT_EQ(spans.back().name, "test.ring.9");
-  SpanLog::instance().set_capacity(4096);  // restore default
-  SpanLog::instance().reset();
+  auto spans = log.snapshot();
+  ASSERT_EQ(spans.size(), SpanLog::kCapacity);
+  EXPECT_EQ(log.dropped(), 6u);
+  EXPECT_EQ(spans.front().start_us, 6u);  // oldest survivor first
+  EXPECT_EQ(spans.back().start_us, kPushed - 1);
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    ASSERT_EQ(spans[i].start_us, spans[i - 1].start_us + 1);
+  }
+  log.reset();
 }
 
 TEST(ObsEvent, TotalsAreExactEvenWhenRingDrops) {
   EventLog::instance().reset();
-  EventLog::instance().set_capacity(3);
-  for (int i = 0; i < 8; ++i) {
-    LIBERATE_OBS_EVENT(static_cast<std::uint64_t>(i), "test", "tick",
-                       fv("i", i));
+  constexpr std::uint64_t kPushed = EventLog::kCapacity + 5;
+  for (std::uint64_t i = 0; i < kPushed; ++i) {
+    LIBERATE_OBS_EVENT(i, "test", "tick", fv("i", i));
   }
   auto snap = EventLog::instance().snapshot();
-  EXPECT_EQ(snap.totals.at("test.tick"), 8u);
-  EXPECT_EQ(snap.recent.size(), 3u);
+  EXPECT_EQ(snap.totals.at("test.tick"), kPushed);
+  ASSERT_EQ(snap.recent.size(), EventLog::kCapacity);
   EXPECT_EQ(snap.dropped, 5u);
-  EXPECT_EQ(snap.recent.back().ts_us, 7u);
+  EXPECT_EQ(snap.recent.front().ts_us, 5u);  // oldest survivor first
+  EXPECT_EQ(snap.recent.back().ts_us, kPushed - 1);
   ASSERT_EQ(snap.recent.back().fields.size(), 1u);
   EXPECT_EQ(snap.recent.back().fields[0].key, "i");
-  EXPECT_EQ(snap.recent.back().fields[0].value, "7");
-  // Shrinking the ring trims the oldest records, and counts them dropped.
-  EventLog::instance().set_capacity(1);
-  snap = EventLog::instance().snapshot();
-  ASSERT_EQ(snap.recent.size(), 1u);
-  EXPECT_EQ(snap.dropped, 7u);
-  EXPECT_EQ(snap.recent.back().ts_us, 7u);
-  EXPECT_EQ(snap.totals.at("test.tick"), 8u);
-  EventLog::instance().set_capacity(4096);  // restore default
+  EXPECT_EQ(snap.recent.back().fields[0].value, std::to_string(kPushed - 1));
   EventLog::instance().reset();
 }
 

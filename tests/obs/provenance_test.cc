@@ -36,16 +36,17 @@ Bytes fake_ipv4(std::uint8_t proto, std::uint32_t src, std::uint16_t sport,
   return d;
 }
 
+// The n-th of up to 2^32 distinct packets of one TCP flow, for filling the
+// recorder's tables past their capacities.
+Bytes numbered_packet(std::uint32_t n) {
+  auto byte = [n](int shift) { return static_cast<std::uint8_t>(n >> shift); };
+  return fake_ipv4(6, 1, 1, 2, 2, {byte(24), byte(16), byte(8), byte(0)});
+}
+
 class ProvenanceTest : public ::testing::Test {
  protected:
   void SetUp() override { ProvenanceRecorder::instance().reset(); }
-  void TearDown() override {
-    auto& rec = ProvenanceRecorder::instance();
-    rec.reset();
-    rec.set_node_capacity(65536);
-    rec.set_ledger_capacity(512);
-    rec.set_max_flows(1024);
-  }
+  void TearDown() override { ProvenanceRecorder::instance().reset(); }
 };
 
 TEST_F(ProvenanceTest, PacketIdsAreContentDerivedAndIdempotent) {
@@ -135,46 +136,55 @@ TEST_F(ProvenanceTest, FlowKeyOfParsesRawIpv4) {
 
 TEST_F(ProvenanceTest, NodeTableEvictsFifoAndCountsEvictions) {
   auto& rec = ProvenanceRecorder::instance();
-  rec.set_node_capacity(4);
+  constexpr std::uint32_t kPushed = ProvenanceRecorder::kNodeCapacity + 4;
   std::vector<std::uint64_t> ids;
-  for (std::uint8_t i = 0; i < 8; ++i) {
-    ids.push_back(rec.packet(fake_ipv4(6, 1, 1, 2, 2, {i}), "tcp"));
+  for (std::uint32_t i = 0; i < kPushed; ++i) {
+    ids.push_back(rec.packet(numbered_packet(i), "tcp"));
   }
-  EXPECT_FALSE(rec.node(ids[0]).has_value());  // oldest gone
-  EXPECT_TRUE(rec.node(ids[7]).has_value());   // newest kept
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_FALSE(rec.node(ids[i]).has_value()) << i;  // the 4 oldest gone
+  }
+  EXPECT_TRUE(rec.node(ids[4]).has_value());           // oldest survivor
+  EXPECT_TRUE(rec.node(ids[kPushed - 1]).has_value());  // newest kept
   ProvSnapshot snap = rec.snapshot();
-  EXPECT_EQ(snap.nodes.size(), 4u);
+  EXPECT_EQ(snap.nodes.size(), ProvenanceRecorder::kNodeCapacity);
   EXPECT_EQ(snap.nodes_evicted, 4u);
 }
 
 TEST_F(ProvenanceTest, LedgerRingDropsOldestWithExactCounts) {
   auto& rec = ProvenanceRecorder::instance();
-  rec.set_ledger_capacity(3);
+  constexpr std::uint64_t kCap = ProvenanceRecorder::kLedgerCapacity;
+  constexpr std::uint64_t kPushed = kCap + 7;
   FlowKey flow = flow_key(1, 1, 2, 2, 6);
-  for (int i = 0; i < 10; ++i) {
-    rec.note(static_cast<std::uint64_t>(i), flow, "dpi-skip",
-             {fv("i", std::int64_t{i})});
+  for (std::uint64_t i = 0; i < kPushed; ++i) {
+    rec.note(i, flow, "dpi-skip", {fv("i", i)});
   }
   auto ledgers = rec.ledgers_for(flow);
   ASSERT_EQ(ledgers.size(), 1u);
-  EXPECT_EQ(ledgers[0].records.size(), 3u);
+  ASSERT_EQ(ledgers[0].records.size(), kCap);
   EXPECT_EQ(ledgers[0].dropped, 7u);
-  EXPECT_EQ(ledgers[0].total, 10u);
-  EXPECT_EQ(ledgers[0].records.back().seq, 9u);  // newest survived
+  EXPECT_EQ(ledgers[0].total, kPushed);
+  EXPECT_EQ(ledgers[0].records.front().seq, 7u);  // oldest survivor
+  EXPECT_EQ(ledgers[0].records.front().fields[0].value, "7");
+  EXPECT_EQ(ledgers[0].records.back().seq, kPushed - 1);  // newest survived
+  EXPECT_EQ(rec.snapshot().total_records, kPushed);
 }
 
 TEST_F(ProvenanceTest, LedgerSetEvictsOldestFlows) {
   auto& rec = ProvenanceRecorder::instance();
-  rec.set_max_flows(2);
-  FlowKey f1 = flow_key(1, 1, 2, 2, 6);
-  FlowKey f2 = flow_key(1, 1, 2, 3, 6);
-  FlowKey f3 = flow_key(1, 1, 2, 4, 6);
-  rec.note(0, f1, "dpi-skip", {});
-  rec.note(1, f2, "dpi-skip", {});
-  rec.note(2, f3, "dpi-skip", {});
-  EXPECT_TRUE(rec.ledgers_for(f1).empty());  // FIFO victim
-  EXPECT_EQ(rec.ledgers_for(f3).size(), 1u);
-  EXPECT_EQ(rec.snapshot().ledgers_evicted, 1u);
+  constexpr std::size_t kFlows = ProvenanceRecorder::kMaxFlows + 1;
+  auto nth_flow = [](std::size_t n) {
+    return flow_key(1, 1, 2, static_cast<std::uint16_t>(n), 6);
+  };
+  for (std::size_t n = 0; n < kFlows; ++n) {
+    rec.note(n, nth_flow(n), "dpi-skip", {});
+  }
+  EXPECT_TRUE(rec.ledgers_for(nth_flow(0)).empty());  // FIFO victim
+  EXPECT_EQ(rec.ledgers_for(nth_flow(1)).size(), 1u);
+  EXPECT_EQ(rec.ledgers_for(nth_flow(kFlows - 1)).size(), 1u);
+  ProvSnapshot snap = rec.snapshot();
+  EXPECT_EQ(snap.ledgers.size(), ProvenanceRecorder::kMaxFlows);
+  EXPECT_EQ(snap.ledgers_evicted, 1u);
 }
 
 TEST_F(ProvenanceTest, ScopesKeepParallelLedgersSeparate) {
@@ -339,6 +349,12 @@ class ProvenanceConcurrency : public ProvenanceTest {
                      {static_cast<std::uint8_t>(k)});
   }
 
+  // Records task t writes past its own ledger's capacity, so `dropped` is
+  // exercised; each task's count differs.
+  static std::uint64_t overflow_records(int t) {
+    return ProvenanceRecorder::kLedgerCapacity + 1 + static_cast<unsigned>(t);
+  }
+
   // One task's script. Every field a task writes into shared state (node
   // kind, edge ts/detail) is a function of the packets alone, and each
   // child has at most four distinct parents (under the fan-in cap), so the
@@ -361,6 +377,10 @@ class ProvenanceConcurrency : public ProvenanceTest {
         rec.note(static_cast<std::uint64_t>(s), flow_key_of(parent), "dpi-skip",
                  {fv("reason", "stress")});
       }
+    }
+    const FlowKey own = flow_key(0x0b000000u, 7, 0xc0a80001u, 80, 6);
+    for (std::uint64_t i = 0; i < overflow_records(t); ++i) {
+      rec.note(i, own, "overflow", {fv("i", i)});
     }
   }
 
@@ -404,11 +424,8 @@ class ProvenanceConcurrency : public ProvenanceTest {
 
 TEST_F(ProvenanceConcurrency, PoolWorkersMatchSerial) {
   auto& rec = ProvenanceRecorder::instance();
-  // Small per-ledger rings so `dropped` is exercised; each ledger belongs to
-  // one task, so its drops do not depend on scheduling. No shared cap (node
-  // table, flow set) is reached.
-  rec.set_ledger_capacity(8);
-
+  // Each task overflows one ledger of its own, so its drops do not depend
+  // on scheduling. No shared cap (node table, flow set) is reached.
   for (int t = 0; t < kTasks; ++t) run_task(t);
   ProvSnapshot serial = rec.snapshot();
   rec.reset();
@@ -419,30 +436,34 @@ TEST_F(ProvenanceConcurrency, PoolWorkersMatchSerial) {
   EXPECT_EQ(serial.ledgers_evicted, 0u);
   EXPECT_EQ(serial.nodes.size(), static_cast<std::size_t>(kShared));
   EXPECT_FALSE(serial.edges.empty());
+  std::uint64_t overflowed = 0;
+  for (int t = 0; t < kTasks; ++t) overflowed += overflow_records(t);
   EXPECT_EQ(serial.total_records,
-            static_cast<std::uint64_t>(kTasks) * (kSteps + kSteps / 5));
-  EXPECT_TRUE(std::any_of(
-      serial.ledgers.begin(), serial.ledgers.end(),
-      [](const LedgerSnapshot& l) { return l.dropped > 0; }));
+            static_cast<std::uint64_t>(kTasks) * (kSteps + kSteps / 5) +
+                overflowed);
+  EXPECT_EQ(std::count_if(
+                serial.ledgers.begin(), serial.ledgers.end(),
+                [](const LedgerSnapshot& l) { return l.dropped > 0; }),
+            kTasks);
   EXPECT_EQ(describe(serial), describe(pooled));
 
-  // With a small node cap and flow cap the eviction rings are contended.
-  // Every packet and every (scope, flow) below is inserted exactly once, so
-  // live + evicted must account for each of them exactly.
-  constexpr std::size_t kNodeCap = 64;
-  constexpr std::size_t kFlowCap = 16;
-  constexpr int kPerTask = 48;
+  // Past the node and flow caps the eviction rings are contended. Every
+  // packet and every (scope, flow) below is inserted exactly once, so live
+  // + evicted must account for each of them exactly.
+  constexpr std::size_t kNodeCap = ProvenanceRecorder::kNodeCapacity;
+  constexpr std::size_t kFlowCap = ProvenanceRecorder::kMaxFlows;
+  constexpr int kPerTask = static_cast<int>(kNodeCap / (3 * kTasks)) + 32;
+  static_assert(std::size_t{kTasks} * kPerTask * 3 > kNodeCap);
+  static_assert(std::size_t{kTasks} * kPerTask > kFlowCap);
   rec.reset();
-  rec.set_node_capacity(kNodeCap);
-  rec.set_max_flows(kFlowCap);
   run_on_pool([](int t) {
     auto& r = ProvenanceRecorder::instance();
     ScopedProvScope scope(static_cast<std::uint64_t>(t + 1));
     for (int i = 0; i < kPerTask; ++i) {
-      auto u8 = [](int v) { return static_cast<std::uint8_t>(v); };
-      r.packet(fake_ipv4(6, 1, 1, 2, 2, {u8(t), u8(i), 0}), "tcp");
-      r.edge(0, fake_ipv4(6, 1, 1, 2, 2, {u8(t), u8(i), 1}),
-             fake_ipv4(6, 1, 1, 2, 2, {u8(t), u8(i), 2}), "split", "stress");
+      const std::uint32_t n = static_cast<std::uint32_t>(t * kPerTask + i) * 3;
+      r.packet(numbered_packet(n), "tcp");
+      r.edge(0, numbered_packet(n + 1), numbered_packet(n + 2), "split",
+             "stress");
       r.note(0, flow_key(1, static_cast<std::uint16_t>(i), 2, 2, 6),
              "dpi-skip", {});
     }

@@ -1,6 +1,6 @@
-// TimeSeriesStore semantics: ring wrap + exact drop accounting, capacity
-// changes, deterministic key ordering, registry-tick delta series, the
-// ewma/rate derivations, and JSON export determinism.
+// TimeSeriesStore semantics: ring wrap + exact drop accounting at the
+// store's fixed capacity, deterministic key ordering, registry-tick delta
+// series, the ewma/rate derivations, and JSON export determinism.
 #undef LIBERATE_OBS_LEVEL
 #define LIBERATE_OBS_LEVEL 2
 
@@ -17,16 +17,8 @@ namespace {
 
 class TimeSeriesTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    TimeSeriesStore::instance().reset();
-    TimeSeriesStore::instance().set_capacity(
-        TimeSeriesStore::kDefaultCapacity);
-  }
-  void TearDown() override {
-    TimeSeriesStore::instance().reset();
-    TimeSeriesStore::instance().set_capacity(
-        TimeSeriesStore::kDefaultCapacity);
-  }
+  void SetUp() override { TimeSeriesStore::instance().reset(); }
+  void TearDown() override { TimeSeriesStore::instance().reset(); }
 };
 
 TEST_F(TimeSeriesTest, SampleAppendsInOrder) {
@@ -44,58 +36,28 @@ TEST_F(TimeSeriesTest, SampleAppendsInOrder) {
 
 TEST_F(TimeSeriesTest, RingWrapsOldestFirstAndCountsDrops) {
   TimeSeriesStore& ts = TimeSeriesStore::instance();
-  ts.set_capacity(4);
-  for (std::uint64_t i = 0; i < 10; ++i) {
+  constexpr std::uint64_t kCap = TimeSeriesStore::kCapacity;
+  constexpr std::uint64_t kPushed = kCap + 6;
+  for (std::uint64_t i = 0; i < kPushed; ++i) {
     ts.sample("ts.wrap", 1, i * 10, static_cast<double>(i));
   }
   TimeSeriesSnapshot snap = ts.snapshot("ts.wrap");
   ASSERT_EQ(snap.series.size(), 1u);
   const SeriesSnapshot& s = snap.series[0];
-  EXPECT_EQ(s.total, 10u);
+  EXPECT_EQ(s.total, kPushed);
   EXPECT_EQ(s.dropped, 6u);
-  ASSERT_EQ(s.points.size(), 4u);
-  // Oldest surviving point first: 6, 7, 8, 9.
-  for (std::size_t i = 0; i < 4; ++i) {
+  ASSERT_EQ(s.points.size(), kCap);
+  // Oldest surviving point first: 6, 7, ..., kPushed - 1.
+  for (std::uint64_t i = 0; i < kCap; ++i) {
     EXPECT_EQ(s.points[i].value, static_cast<double>(6 + i));
     EXPECT_EQ(s.points[i].t_us, (6 + i) * 10);
   }
-}
-
-TEST_F(TimeSeriesTest, ShrinkAndGrowCapacity) {
-  TimeSeriesStore& ts = TimeSeriesStore::instance();
-  ts.set_capacity(8);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    ts.sample("ts.cap", -1, i, static_cast<double>(i));
-  }
-  // Shrink: oldest dropped, drops counted.
-  ts.set_capacity(3);
-  TimeSeriesSnapshot snap = ts.snapshot("ts.cap");
-  ASSERT_EQ(snap.series[0].points.size(), 3u);
-  EXPECT_EQ(snap.series[0].points[0].value, 5.0);
-  EXPECT_EQ(snap.series[0].dropped, 5u);
-  // Grow again: appends continue in chronological order.
-  ts.set_capacity(5);
-  ts.sample("ts.cap", -1, 100, 42.0);
-  snap = ts.snapshot("ts.cap");
-  ASSERT_EQ(snap.series[0].points.size(), 4u);
-  EXPECT_EQ(snap.series[0].points.back().value, 42.0);
-  EXPECT_EQ(snap.series[0].points[0].value, 5.0);
-}
-
-TEST_F(TimeSeriesTest, GrowAfterWrapKeepsChronologicalOrder) {
-  TimeSeriesStore& ts = TimeSeriesStore::instance();
-  ts.set_capacity(3);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    ts.sample("ts.grow", -1, i, static_cast<double>(i));  // ring wraps
-  }
-  ts.set_capacity(6);
-  ts.sample("ts.grow", -1, 50, 50.0);
-  TimeSeriesSnapshot snap = ts.snapshot("ts.grow");
-  const auto& pts = snap.series[0].points;
-  ASSERT_EQ(pts.size(), 4u);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_LT(pts[i - 1].t_us, pts[i].t_us);
-  }
+  // Other series keep their own ring.
+  ts.sample("ts.wrap", 2, 0, 1.0);
+  snap = ts.snapshot("ts.wrap");
+  ASSERT_EQ(snap.series.size(), 2u);
+  EXPECT_EQ(snap.series[1].total, 1u);
+  EXPECT_EQ(snap.series[1].dropped, 0u);
 }
 
 TEST_F(TimeSeriesTest, SnapshotKeysAreSortedNameThenShard) {

@@ -264,12 +264,9 @@ TEST(IpReassemblyRobustness, OverlongPieceIsClampedToMaxDatagram) {
 #if LIBERATE_OBS_LEVEL >= 2
 class IpReassemblyProvenance : public ::testing::Test {
  protected:
-  void SetUp() override { obs::prov::ProvenanceRecorder::instance().reset(); }
-  void TearDown() override {
-    auto& rec = obs::prov::ProvenanceRecorder::instance();
-    rec.reset();
-    rec.set_node_capacity(65536);
-  }
+  static void reset() { obs::prov::ProvenanceRecorder::instance().reset(); }
+  void SetUp() override { reset(); }
+  void TearDown() override { reset(); }
 };
 
 // A fragment whose lineage node is evicted before its datagram completes is
@@ -277,13 +274,20 @@ class IpReassemblyProvenance : public ::testing::Test {
 // zero-length stub.
 TEST_F(IpReassemblyProvenance, EvictedPieceIsReRegisteredWithItsSize) {
   auto& rec = obs::prov::ProvenanceRecorder::instance();
-  rec.set_node_capacity(4);
   IpReassembler r;
   Bytes first = raw_fragment(0, pattern(16, 0x11), true);
   Bytes last = raw_fragment(16, pattern(8, 0x22), false);
   const std::uint64_t first_id = obs::prov::packet_id(first);
   EXPECT_FALSE(r.push(first, 0));
-  for (std::uint8_t i = 0; i < 4; ++i) rec.packet(pattern(40, i), "wire");
+  // A full node table of newer packets pushes the fragment out.
+  for (std::size_t i = 0; i < obs::prov::ProvenanceRecorder::kNodeCapacity;
+       ++i) {
+    Bytes filler = pattern(40, 0);
+    for (std::size_t b = 0; b < 4; ++b) {
+      filler[b] = static_cast<std::uint8_t>(i >> (8 * b));
+    }
+    rec.packet(filler, "wire");
+  }
   ASSERT_FALSE(rec.node(first_id).has_value());  // evicted
 
   auto out = r.push(last, 0);

@@ -4,7 +4,7 @@
 
 #include "dpi/http_parser.h"
 #include "dpi/stun_parser.h"
-#include "dpi/tls_parser.h"
+#include "fuzz/tls_parser.h"
 
 namespace liberate::trace {
 namespace {
